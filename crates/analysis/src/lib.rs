@@ -43,9 +43,9 @@
 //! 7. **Static persistence slicing** ([`SliceReport`]): the recovery
 //!    read footprint (cache lines recovery-flagged loads observe),
 //!    absorption facts (a line's last fenced store masks earlier
-//!    writeback choices), and crash-point equivalence classes — the
-//!    static prediction of the explorer's dynamic pruning, plus the
-//!    footprint-driven dead-flush pass ([`dead_flushes`]).
+//!    writeback choices), and crash-point equivalence classes (an
+//!    advisory prediction), plus the footprint-driven dead-flush pass
+//!    ([`dead_flushes`]).
 //! 8. **Typed repair edits** ([`FixEdit`], [`minimize_edits`]): every
 //!    error-class diagnostic carries a machine-applicable edit —
 //!    insert flush, insert fence, delete flush — at its interned site,

@@ -16,14 +16,12 @@
 //!   injection points with no footprint-line activity between them.
 //!   Two crash points in the same class expose byte-identical
 //!   persisted footprint state to recovery, so recovery cannot
-//!   distinguish them and one representative per class suffices. This
-//!   is exactly the reads-from quotient the explorer's dynamic pruning
-//!   enforces (see DESIGN.md, "Static persistence slicing"); here it
-//!   is computed statically, as a prediction and an explanation.
+//!   distinguish them and one representative per class would suffice.
 //!
-//! The pass is advisory: the explorer proves the same facts
-//! dynamically (with a footprint folded to a fixpoint) before skipping
-//! anything. `jaaru_cli analyze` surfaces this report.
+//! The pass is advisory: it predicts how many crash points a
+//! footprint-based pruner could skip, and the explorer skips none (see
+//! DESIGN.md, "Static persistence slicing and dead flushes").
+//! `jaaru_cli analyze` surfaces this report.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -52,9 +50,9 @@ pub struct Absorption {
 #[derive(Clone, Debug)]
 pub struct CrashPointClass {
     /// Ordinal (0-based injection-point index) of the representative —
-    /// the first member, which the explorer always expands.
+    /// the first member.
     pub representative: usize,
-    /// Ordinals of the other members, which pruning skips.
+    /// Ordinals of the other members, which the representative covers.
     pub members: Vec<usize>,
 }
 
@@ -73,7 +71,7 @@ pub struct SliceReport {
     pub classes: Vec<CrashPointClass>,
     /// Total predicted injection points in the pre-failure execution.
     pub total_points: usize,
-    /// Points pruning is predicted to skip (`total_points` minus one
+    /// Points the classes make redundant (`total_points` minus one
     /// representative per class).
     pub predicted_skipped: usize,
 }
@@ -269,10 +267,10 @@ fn absorption_facts(pre: &OpTrace, footprint: &HashSet<u64>) -> Vec<Absorption> 
 }
 
 /// Predicts the pre-failure execution's injection points and groups
-/// them into equivalence classes, mirroring the explorer's dynamic
-/// rule: a point joins its predecessor's class iff nothing since the
-/// previous point touched a footprint line — counting stores, eager
-/// flushes, and parked `clflushopt`s applied by a later fence or RMW.
+/// them into equivalence classes: a point joins its predecessor's
+/// class iff nothing since the previous point touched a footprint line
+/// — counting stores, eager flushes, and parked `clflushopt`s applied
+/// by a later fence or RMW.
 fn crash_point_classes(pre: &OpTrace, footprint: &HashSet<u64>) -> (Vec<CrashPointClass>, usize) {
     let mut classes: Vec<CrashPointClass> = Vec::new();
     let mut touched: HashSet<u64> = HashSet::new();

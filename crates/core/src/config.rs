@@ -34,7 +34,6 @@ pub struct Config {
     snapshots: bool,
     snapshot_cap: usize,
     repair_max_rounds: usize,
-    prune: bool,
     /// Internal: keep every scenario's op traces on its outcome (the
     /// static slicing pass consumes them). Collection-only — never part
     /// of the fingerprint.
@@ -67,7 +66,6 @@ impl Config {
             snapshots: true,
             snapshot_cap: 64 << 20,
             repair_max_rounds: 8,
-            prune: false,
             collect_traces: false,
         }
     }
@@ -276,7 +274,9 @@ impl Config {
     /// over empty flush buffers, and flushes before any store, as
     /// warning-severity diagnostics with occurrence counts. This is the
     /// graph-based successor of [`Config::flag_perf_issues`]; enabling
-    /// both double-counts redundant flushes.
+    /// both double-counts redundant flushes. Together with
+    /// [`Config::lints`] it also reports dead flushes: flushes of lines
+    /// no recovery execution reads (exhaustive runs only).
     pub fn lint_flush_redundancy(&mut self, yes: bool) -> &mut Self {
         self.lint_flush_redundancy = yes;
         self
@@ -285,6 +285,13 @@ impl Config {
     /// Whether the flush-redundancy pass is enabled.
     pub fn lint_flush_redundancy_value(&self) -> bool {
         self.lint_flush_redundancy
+    }
+
+    /// Whether the dead-flush pass runs: the lint engine and the
+    /// flush-redundancy pass both on. Only then does exploration
+    /// collect the cache lines recovery reads.
+    pub(crate) fn dead_flush_value(&self) -> bool {
+        self.lints && self.lint_flush_redundancy
     }
 
     /// Whether any analysis pass needs per-execution op traces
@@ -346,28 +353,6 @@ impl Config {
         self.repair_max_rounds
     }
 
-    /// Enable static persistence-slice pruning (default `false`): before
-    /// committing to a crash point, the explorer consults the recovery
-    /// read footprint — the cache lines any recovery execution has been
-    /// observed to read — and skips injection points that no operation
-    /// since the previous point could make distinguishable. The
-    /// footprint is computed to a fixpoint by re-running exploration
-    /// whenever recovery reads a line outside the current footprint, so
-    /// pruning never hides a verdict, bug, or lint: it only removes
-    /// crash points equivalent to one already explored (see DESIGN.md,
-    /// "Static persistence slicing"). Exploration *statistics* (scenario
-    /// and execution counts) do shrink, which is the point — so `prune`
-    /// is a semantic knob and participates in [`Config::fingerprint`].
-    pub fn prune(&mut self, yes: bool) -> &mut Self {
-        self.prune = yes;
-        self
-    }
-
-    /// Whether persistence-slice pruning is enabled.
-    pub fn prune_value(&self) -> bool {
-        self.prune
-    }
-
     /// The configured worker count, as set (`0` = auto).
     pub fn jobs_value(&self) -> usize {
         self.jobs
@@ -418,7 +403,6 @@ impl Config {
             self.lint_cross_thread,
             self.lint_torn_stores,
             self.lint_flush_redundancy,
-            self.prune,
         ]
         .iter()
         .fold(0u64, |acc, &b| (acc << 1) | b as u64);
@@ -449,7 +433,6 @@ mod tests {
         assert_eq!(c.jobs_value(), 1, "sequential by default");
         assert!(c.snapshots_value(), "snapshots on by default");
         assert_eq!(c.snapshot_cap_value(), 64 << 20);
-        assert!(!c.prune_value(), "pruning is opt-in at the library level");
     }
 
     #[test]
@@ -546,9 +529,6 @@ mod tests {
         let mut c = Config::new();
         c.lints(true);
         assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.prune(true);
-        assert_ne!(c.fingerprint(), base, "pruning changes exploration stats");
         let mut c = Config::new();
         c.eviction(EvictionPolicy::OnFence);
         assert_ne!(c.fingerprint(), base);

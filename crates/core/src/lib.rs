@@ -87,7 +87,7 @@ pub use program::{Named, Program};
 pub use repair::{synthesize_repair, RepairDriver, RepairOutcome, RepairedProgram};
 pub use report::{
     BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceCandidate, RaceReport,
-    SliceSummary, WorkerStats,
+    WorkerStats,
 };
 pub use signal::with_quiet_panics;
 pub use snapshot::SharedSnapshotCache;

@@ -61,10 +61,7 @@ impl ReportAccumulator {
         self.stats.max_rf_set = self.stats.max_rf_set.max(outcome.max_rf_set);
         self.stats.failure_points = self.stats.failure_points.max(outcome.failure_points);
 
-        self.aux.points_skipped += outcome.points_skipped;
-        for (line, n) in outcome.recovery_reads {
-            *self.aux.recovery_reads.entry(line).or_insert(0) += n;
-        }
+        self.aux.recovery_reads.extend(outcome.recovery_reads);
         if self.aux.clean_trace.is_none() {
             self.aux.clean_trace = outcome.clean_trace;
         }
@@ -97,8 +94,8 @@ impl ReportAccumulator {
         self.bugs.len()
     }
 
-    /// Takes the accumulated exploration by-products (recovery reads,
-    /// skip counts, the crash-free trace). Call before
+    /// Takes the accumulated exploration by-products (recovery reads
+    /// and the crash-free trace). Call before
     /// [`into_report`](Self::into_report).
     pub fn take_aux(&mut self) -> ExploreAux {
         std::mem::take(&mut self.aux)
@@ -121,7 +118,6 @@ impl ReportAccumulator {
             truncated,
             parallel,
             snapshots,
-            slice: None,
         }
     }
 }

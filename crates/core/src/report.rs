@@ -209,79 +209,6 @@ impl fmt::Display for ParallelStats {
     }
 }
 
-/// Summary of the static persistence slice that steered a pruned run
-/// (attached when [`Config::prune`](crate::Config::prune) is on).
-///
-/// Excluded from [`CheckReport::digest`]: pruning must leave verdicts,
-/// bug sets, and lint findings untouched, but the slice itself — the
-/// footprint, the skip counts — is exactly what differs between pruned
-/// and unpruned runs.
-#[derive(Clone, Debug, Default)]
-pub struct SliceSummary {
-    /// Cache lines any recovery execution was observed to read (the
-    /// recovery read footprint), sorted.
-    pub footprint: Vec<u64>,
-    /// Per-line recovery read counts summed over explored scenarios and
-    /// fixpoint rounds, sorted by line.
-    pub reads_per_line: Vec<(u64, u64)>,
-    /// Per-line pre-failure store counts from the crash-free execution
-    /// trace (empty unless [`Config::lints`](crate::Config::lints) is
-    /// on), sorted by line.
-    pub writes_per_line: Vec<(u64, u64)>,
-    /// Injection points the prune oracle skipped in the final fixpoint
-    /// round, summed over scenarios.
-    pub points_skipped: u64,
-    /// Fixpoint rounds run until the footprint stabilized.
-    pub rounds: u64,
-    /// Logical executions of the final (converged) round alone — the
-    /// cost of the pruned exploration proper, once the footprint is
-    /// known. [`CheckStats::executions`] is cumulative over every
-    /// discovery round; this field is what amortized re-checking (a
-    /// warm service cache, a CI re-run) pays per check.
-    pub final_round_executions: u64,
-    /// Scenarios of the final (converged) round alone (the cumulative
-    /// [`CheckStats::scenarios`] counterpart of
-    /// [`final_round_executions`](Self::final_round_executions)).
-    pub final_round_scenarios: u64,
-}
-
-impl SliceSummary {
-    /// The slice as a JSON object (embedded in
-    /// [`CheckReport::to_json`]).
-    pub fn to_json(&self) -> String {
-        use fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"footprint\": {:?}, \"reads_per_line\": [",
-            self.footprint
-        );
-        for (i, (line, n)) in self.reads_per_line.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{line}, {n}]");
-        }
-        out.push_str("], \"writes_per_line\": [");
-        for (i, (line, n)) in self.writes_per_line.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{line}, {n}]");
-        }
-        let _ = write!(
-            out,
-            "], \"points_skipped\": {}, \"rounds\": {}, \"final_round_executions\": {}, \
-             \"final_round_scenarios\": {}}}",
-            self.points_skipped,
-            self.rounds,
-            self.final_round_executions,
-            self.final_round_scenarios
-        );
-        out
-    }
-}
-
 /// The result of a model-checking run.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
@@ -311,10 +238,6 @@ pub struct CheckReport {
     /// make hit/eviction counts nondeterministic, while the explored
     /// scenario set is not.
     pub snapshots: Option<SnapshotStats>,
-    /// The persistence slice that steered pruning; `None` when
-    /// [`Config::prune`](crate::Config::prune) was off. Excluded from
-    /// [`digest`](Self::digest) and from the canonical JSON view.
-    pub slice: Option<SliceSummary>,
 }
 
 impl CheckReport {
@@ -372,20 +295,13 @@ impl CheckReport {
 
     /// A deterministic, occurrence-insensitive fingerprint of the lint
     /// findings: every diagnostic's severity, rule id, site, and
-    /// message, sorted. Pruning may visit fewer scenarios and therefore
-    /// see a finding fewer *times*, but must never change *which*
-    /// findings exist — so the pruning soundness comparisons (fuzz
-    /// oracle, determinism suite, bench) pin this digest rather than
-    /// the occurrence-carrying [`digest`](Self::digest).
-    ///
-    /// Dead-flush findings are excluded: they are *derived from* the
-    /// slice footprint and exist only on pruned runs by construction.
+    /// message, sorted. Comparisons that care *which* findings exist,
+    /// not how often exploration re-encountered them, pin this digest
+    /// rather than the occurrence-carrying [`digest`](Self::digest).
     pub fn lint_digest(&self) -> String {
-        use jaaru_analysis::DiagnosticKind;
         let mut lines: Vec<String> = self
             .diagnostics
             .iter()
-            .filter(|d| d.kind != DiagnosticKind::DeadFlush)
             .map(|d| {
                 format!(
                     "{}[{}] {}: {}",
@@ -497,14 +413,6 @@ impl CheckReport {
         }
         out.push_str("},\n");
         if timings {
-            match &self.slice {
-                Some(s) => {
-                    let _ = writeln!(out, "  \"slice\": {},", s.to_json());
-                }
-                None => {
-                    let _ = writeln!(out, "  \"slice\": null,");
-                }
-            }
             match &self.snapshots {
                 Some(s) => {
                     let _ = writeln!(
@@ -655,15 +563,6 @@ impl fmt::Display for CheckReport {
         }
         if let Some(s) = &self.snapshots {
             writeln!(f, "  snapshots: {s}")?;
-        }
-        if let Some(s) = &self.slice {
-            writeln!(
-                f,
-                "  slice: footprint {} line(s), {} point(s) skipped, {} round(s)",
-                s.footprint.len(),
-                s.points_skipped,
-                s.rounds
-            )?;
         }
         for b in &self.bugs {
             writeln!(f, "  {b}")?;

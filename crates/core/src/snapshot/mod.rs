@@ -20,7 +20,7 @@
 //! scenario's *prescribed* prefix — restoring is always equivalent to
 //! replaying those executions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -128,11 +128,9 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) diagnostics: DiagnosticSet,
     pub(crate) work_since_fence: u64,
     pub(crate) op_traces: Vec<OpTrace>,
-    /// Per-line recovery read counts accumulated over the snapshotted
-    /// executions (the slicing footprint observations up to this point).
-    pub(crate) recovery_reads: HashMap<u64, u64>,
-    /// Injection points the prune oracle skipped in the prefix.
-    pub(crate) points_skipped: u64,
+    /// Cache lines recovery read over the snapshotted executions (the
+    /// dead-flush footprint so far; empty unless that pass is on).
+    pub(crate) recovery_reads: HashSet<u64>,
     /// Full metadata of the consumed decision prefix, so a restore into
     /// a `DecisionLog::from_trace` placeholder log can rehydrate the
     /// alternative counts and execution indices replay would have
@@ -163,7 +161,7 @@ pub(crate) fn estimate_bytes(
     op_traces: &[OpTrace],
     races: &[RaceReport],
     prefix: &[Decision],
-    recovery_reads: &HashMap<u64, u64>,
+    recovery_reads: &HashSet<u64>,
 ) -> usize {
     let storage: usize = stack.iter().map(ExecutionStorage::approx_bytes).sum();
     let traces: usize = op_traces.iter().map(OpTrace::approx_bytes).sum();
@@ -174,6 +172,6 @@ pub(crate) fn estimate_bytes(
         .map(|r| 96 + r.load_location.len() + r.candidates.len() * 64)
         .sum();
     let prefix = std::mem::size_of_val(prefix);
-    let reads = recovery_reads.len() * 2 * std::mem::size_of::<u64>();
+    let reads = recovery_reads.len() * std::mem::size_of::<u64>();
     256 + storage + traces + races + prefix + reads
 }

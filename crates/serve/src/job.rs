@@ -136,12 +136,6 @@ pub struct JobSpec {
     /// Worker threads for this job's exploration (the one-shot
     /// `--jobs`); performance-only, invisible in the artifact.
     pub jobs: usize,
-    /// Whether static persistence slicing prunes the exploration
-    /// (the one-shot default; `"prune": false` mirrors `--no-prune`).
-    /// Semantic for caching: it changes the exploration even though
-    /// verdicts and findings are preserved, so it is part of the
-    /// config fingerprint the cache groups fold in.
-    pub prune: bool,
     /// Cooperative deadline in milliseconds; `None` = no deadline.
     pub deadline_ms: Option<u64>,
 }
@@ -206,15 +200,18 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         "litmus" => JobKind::Litmus,
         _ => unreachable!("caller matched kind"),
     };
-    let get_usize = |key: &str| -> Result<Option<usize>, SpecError> {
+    // A present field of the wrong type is an error, never a default.
+    let get_u64 = |key: &str| -> Result<Option<u64>, SpecError> {
         match value.get(key) {
             None | Some(Value::Null) => Ok(None),
             Some(v) => v
                 .as_u64()
-                .map(|n| Some(n as usize))
+                .map(Some)
                 .ok_or_else(|| SpecError(format!("{key:?} must be a non-negative integer"))),
         }
     };
+    let get_usize =
+        |key: &str| -> Result<Option<usize>, SpecError> { Ok(get_u64(key)?.map(|n| n as usize)) };
 
     let benchmark = value.get("benchmark").and_then(Value::as_str);
     let suite = match value.get("suite").and_then(Value::as_str) {
@@ -228,8 +225,8 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
 
     let workload = match kind {
         JobKind::Fuzz => Workload::Campaign {
-            seeds: value.get("seeds").and_then(Value::as_u64).unwrap_or(20),
-            seed_start: value.get("seed_start").and_then(Value::as_u64).unwrap_or(0),
+            seeds: get_u64("seeds")?.unwrap_or(20),
+            seed_start: get_u64("seed_start")?.unwrap_or(0),
             ops_max: get_usize("ops_max")?.unwrap_or(10),
             differential: value
                 .get("differential")
@@ -304,8 +301,7 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         workload,
         format,
         jobs: get_usize("jobs")?.unwrap_or(default_jobs),
-        prune: value.get("prune").and_then(Value::as_bool).unwrap_or(true),
-        deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
+        deadline_ms: get_u64("deadline_ms")?,
     })
 }
 
@@ -513,20 +509,28 @@ mod tests {
         assert_ne!(a.program_hash(), more_keys.program_hash());
     }
 
+    /// Rejects every wrong-typed value of `key` spliced into `base`.
+    fn assert_rejects_mistyped(base: &str, key: &str) {
+        for bad in [r#""500""#, "-1", "1.5", "true"] {
+            let line = format!(r#"{{{base},"{key}":{bad}}}"#);
+            let err = req(&line).expect_err(&line);
+            assert!(err.0.contains(key), "{line}: {err}");
+        }
+    }
+
     #[test]
-    fn prune_defaults_on_and_is_semantic_for_caching() {
-        let on = job(r#"{"kind":"check","benchmark":"P-CLHT"}"#);
-        assert!(on.prune, "matches the one-shot CLI default");
-        let off = job(r#"{"kind":"check","benchmark":"P-CLHT","prune":false}"#);
-        assert!(!off.prune);
-        // The knob flows into the config fingerprint, so the pruned and
-        // unpruned runs of the same program never share snapshot
-        // prefixes or cached results.
-        let mut pruned = Config::new();
-        pruned.prune(true);
-        let plain = Config::new();
-        assert_ne!(on.snapshot_group(&pruned), off.snapshot_group(&plain));
-        assert_ne!(on.result_group(&pruned), off.result_group(&plain));
+    fn mistyped_deadline_is_rejected() {
+        assert_rejects_mistyped(r#""kind":"check","benchmark":"P-CLHT""#, "deadline_ms");
+    }
+
+    #[test]
+    fn mistyped_fuzz_seeds_are_rejected() {
+        assert_rejects_mistyped(r#""kind":"fuzz""#, "seeds");
+    }
+
+    #[test]
+    fn mistyped_fuzz_seed_start_is_rejected() {
+        assert_rejects_mistyped(r#""kind":"fuzz""#, "seed_start");
     }
 
     #[test]

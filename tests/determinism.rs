@@ -11,6 +11,7 @@
 //! are required to be invisible to results; the tests below enforce it).
 
 use jaaru::{CheckReport, Config, ModelChecker, PmEnv, Program};
+use jaaru_bench::registry::recipe_bug_cases;
 use jaaru_workloads::recipe::{
     fast_fair::{FastFair, FastFairFault},
     pclht::{Pclht, PclhtFault},
@@ -146,100 +147,40 @@ fn graph_pass_diagnostics_are_deterministic_across_worker_counts() {
 
 /// SARIF rendering is a pure function of the diagnostic list, and the
 /// list itself is worker-count invariant — so the SARIF document must
-/// be byte-identical at every `--jobs` setting.
+/// be byte-identical at every `--jobs` setting. RECIPE row 1 (CCEH)
+/// also carries dead-flush findings, whose footprint every worker
+/// contributes to.
 #[test]
 fn sarif_output_is_byte_identical_across_worker_counts() {
-    let buggy = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let baseline = jaaru::to_sarif(
-        &ModelChecker::new(graph_lint_config(1))
-            .check(&buggy)
-            .diagnostics,
-        "test",
-    );
-    assert!(baseline.contains("\"version\": \"2.1.0\""), "{baseline}");
-    assert!(!baseline.is_empty());
-    for jobs in [2usize, 4] {
-        let sarif = jaaru::to_sarif(
-            &ModelChecker::new(graph_lint_config(jobs))
-                .check(&buggy)
-                .diagnostics,
-            "test",
-        );
-        assert_eq!(baseline, sarif, "jobs={jobs} changed the SARIF bytes");
-    }
-}
-
-fn prune_config(jobs: usize, prune: bool) -> Config {
-    let mut c = config(jobs);
-    // Cross-thread lints stay off: that pass keys off trace extents
-    // pruning legitimately shortens. Every other finding must match.
-    c.lints(true)
-        .lint_torn_stores(true)
-        .lint_flush_redundancy(true)
-        .prune(prune);
-    c
-}
-
-/// Order- and occurrence-insensitive bug identity: what the user is
-/// told, not how often exploration re-encountered it.
-fn bug_keys(report: &CheckReport) -> Vec<(String, String, Option<String>)> {
-    let mut keys: Vec<_> = report
-        .bugs
-        .iter()
-        .map(|b| {
-            (
-                format!("{:?}", b.kind),
-                b.message.clone(),
-                b.location.clone(),
-            )
-        })
-        .collect();
-    keys.sort();
-    keys.dedup();
-    keys
-}
-
-/// Static persistence slicing is a pure exploration optimization: the
-/// pruned run must reach the same verdict, report the same bugs, and
-/// surface the same lint findings as the unpruned walk, at every worker
-/// count. Stats are *not* compared — fewer post-failure executions is
-/// the point.
-#[test]
-fn pruning_preserves_verdicts_bugs_and_lints_at_every_worker_count() {
-    let buggy = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let fixed = IndexWorkload::<FastFair>::new(FastFairFault::None, 6);
-    for program in [&buggy as &(dyn Program + Sync), &fixed] {
-        let plain = ModelChecker::new(prune_config(1, false)).check(program);
-        for jobs in [1usize, 2, 4] {
-            let pruned = ModelChecker::new(prune_config(jobs, true)).check(program);
-            assert_eq!(plain.is_clean(), pruned.is_clean(), "jobs={jobs}");
-            assert_eq!(bug_keys(&plain), bug_keys(&pruned), "jobs={jobs}");
-            assert_eq!(plain.lint_digest(), pruned.lint_digest(), "jobs={jobs}");
+    let pclht = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
+    let cceh = recipe_bug_cases(2)
+        .into_iter()
+        .find(|c| c.id == 1)
+        .expect("recipe row 1")
+        .program;
+    for (name, program) in [
+        ("P-CLHT", &pclht as &(dyn Program + Sync)),
+        ("recipe 1", &*cceh),
+    ] {
+        let report = ModelChecker::new(graph_lint_config(1)).check(program);
+        let baseline = jaaru::to_sarif(&report.diagnostics, "test");
+        assert!(baseline.contains("\"version\": \"2.1.0\""), "{baseline}");
+        if name == "recipe 1" {
+            assert!(!report.truncated, "{report}");
+            assert!(baseline.contains("\"dead-flush\""), "{baseline}");
         }
-    }
-}
-
-/// The pruned exploration itself is deterministic: byte-identical
-/// digests across repeats and worker counts, exactly like the unpruned
-/// engine.
-#[test]
-fn pruned_exploration_is_deterministic_across_worker_counts() {
-    let program = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let sequential = ModelChecker::new(prune_config(1, true)).check(&program);
-    assert_eq!(
-        sequential.digest(),
-        ModelChecker::new(prune_config(1, true))
-            .check(&program)
-            .digest(),
-        "pruned repeat unstable"
-    );
-    for jobs in [2usize, 4] {
-        let parallel = ModelChecker::new(prune_config(jobs, true)).check(&program);
-        assert_eq!(
-            sequential.digest(),
-            parallel.digest(),
-            "jobs={jobs} diverged under pruning"
-        );
+        for jobs in [2usize, 4] {
+            let sarif = jaaru::to_sarif(
+                &ModelChecker::new(graph_lint_config(jobs))
+                    .check(program)
+                    .diagnostics,
+                "test",
+            );
+            assert_eq!(
+                baseline, sarif,
+                "{name}: jobs={jobs} changed the SARIF bytes"
+            );
+        }
     }
 }
 
