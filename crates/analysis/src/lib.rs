@@ -60,6 +60,7 @@
 
 mod diagnostic;
 mod graph;
+mod json;
 mod localize;
 mod perf;
 mod races;
@@ -71,6 +72,7 @@ mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
 pub use graph::{Edge, EdgeKind, FlushRef, LinePersist, PersistGraph, SiteTable, StoreNode};
+pub use json::json_string;
 pub use localize::{localize, RfEvidence};
 pub use perf::{dead_flushes, flush_redundancy};
 pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};

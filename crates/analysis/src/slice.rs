@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use jaaru_tso::{OpTrace, TraceOpKind};
 
+use crate::json::json_string;
 use crate::races::recovery_read_lines;
 
 /// One absorption fact: the last store to `line` is flushed and
@@ -184,24 +185,6 @@ impl SliceReport {
             self.predicted_skipped,
         )
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Lines whose *last* store is covered by a flush that takes effect

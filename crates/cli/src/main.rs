@@ -79,9 +79,8 @@ fn config(jobs: usize, lint: bool, snapshots: SnapshotOpts) -> Config {
         c.snapshot_cap(cap);
     }
     if lint {
-        // All graph passes on. The graph-based flush-redundancy pass
-        // replaces the inline `flag_perf_issues` machinery here —
-        // enabling both would double-count redundant flushes.
+        // All graph passes on; the flush-redundancy pass is the one
+        // producer of wasted-flush and dead-flush warnings.
         c.lints(true)
             .lint_cross_thread(true)
             .lint_torn_stores(true)

@@ -11,7 +11,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::panic::{panic_any, Location};
 
-use jaaru_analysis::{Diagnostic, DiagnosticKind, DiagnosticSet};
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
     do_read, read_pre_failure, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
@@ -54,11 +53,6 @@ struct Inner {
     load_choice_points: u64,
     max_rf_set: usize,
 
-    /// Perf-warning diagnostics (redundant flushes/fences), deduplicated
-    /// by site through the shared [`DiagnosticSet`] fold.
-    diagnostics: DiagnosticSet,
-    /// Stores and flushes since the last fence (redundant-fence check).
-    work_since_fence: u64,
     /// Per-execution operation traces for the lint engine (empty unless
     /// [`Config::lints`] is on); the last entry is the running execution.
     op_traces: Vec<OpTrace>,
@@ -76,7 +70,6 @@ pub(crate) struct ScenarioRecord {
     pub crash_points: Vec<usize>,
     pub points_per_exec: Vec<usize>,
     pub races: Vec<RaceReport>,
-    pub diagnostics: Vec<Diagnostic>,
     pub op_traces: Vec<OpTrace>,
     pub load_choice_points: u64,
     pub max_rf_set: usize,
@@ -94,7 +87,6 @@ pub(crate) struct CheckerEnv {
     skip_unchanged: bool,
     max_ops: u64,
     flag_races: bool,
-    flag_perf: bool,
     flag_lints: bool,
     /// Collect the cache lines recovery reads (the dead-flush footprint).
     collect_reads: bool,
@@ -125,8 +117,6 @@ impl CheckerEnv {
                 race_keys: HashSet::new(),
                 load_choice_points: 0,
                 max_rf_set: 1,
-                diagnostics: DiagnosticSet::new(),
-                work_since_fence: 0,
                 op_traces: if config.trace_ops_value() {
                     vec![OpTrace::new()]
                 } else {
@@ -142,7 +132,6 @@ impl CheckerEnv {
             // The localization pass correlates lint candidates with
             // read-from evidence, so analysis passes imply race flagging.
             flag_races: config.flag_races_value() || config.trace_ops_value(),
-            flag_perf: config.flag_perf_issues_value(),
             flag_lints: config.trace_ops_value(),
             collect_reads: config.dead_flush_value(),
             lint_loc: Cell::new(None),
@@ -198,8 +187,6 @@ impl CheckerEnv {
             inner.race_keys = snap.race_keys.clone();
             inner.load_choice_points = snap.load_choice_points;
             inner.max_rf_set = snap.max_rf_set;
-            inner.diagnostics = snap.diagnostics.clone();
-            inner.work_since_fence = snap.work_since_fence;
             inner.op_traces = snap.op_traces.clone();
             inner.recovery_reads = snap.recovery_reads.clone();
         }
@@ -229,8 +216,6 @@ impl CheckerEnv {
             race_keys: inner.race_keys.clone(),
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
-            diagnostics: inner.diagnostics.clone(),
-            work_since_fence: inner.work_since_fence,
             op_traces: inner.op_traces.clone(),
             recovery_reads: inner.recovery_reads.clone(),
             prefix,
@@ -262,7 +247,6 @@ impl CheckerEnv {
             crash_points: inner.crash_points,
             points_per_exec: inner.points_per_exec,
             races: inner.races,
-            diagnostics: inner.diagnostics.into_vec(),
             op_traces: inner.op_traces,
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
@@ -422,7 +406,6 @@ impl CheckerEnv {
         self.injection_point();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence += 1;
         let first = addr.cache_line().index();
         let last = (addr + (len.max(1) as u64 - 1)).cache_line().index();
         if self.flag_lints {
@@ -438,25 +421,6 @@ impl CheckerEnv {
                 }
             };
             self.record_trace(inner, loc, kind);
-        }
-        if self.flag_perf {
-            // The §5.1 extension: a flush of a range with no unflushed
-            // stores wastes a persistency operation (the bug class PMTest
-            // and pmemcheck report).
-            let redundant = (first..=last).all(|l| {
-                !inner
-                    .machine
-                    .storage()
-                    .has_unflushed_stores(jaaru_pmem::CacheLineId::new(l))
-            });
-            if redundant {
-                let (kind, what) = if opt {
-                    (DiagnosticKind::RedundantFlushOpt, "clflushopt/clwb")
-                } else {
-                    (DiagnosticKind::RedundantFlush, "clflush")
-                };
-                record_perf(inner, kind, Some(addr), loc, what);
-            }
         }
         for l in first..=last {
             let line = jaaru_pmem::CacheLineId::new(l);
@@ -513,32 +477,6 @@ fn record_race(
     });
 }
 
-fn record_perf(
-    inner: &mut Inner,
-    kind: DiagnosticKind,
-    addr: Option<PmAddr>,
-    loc: &'static Location<'static>,
-    what: &str,
-) {
-    let site = format!("{}:{}:{}", loc.file(), loc.line(), loc.column());
-    let message = match kind {
-        DiagnosticKind::RedundantFence => {
-            format!("the {what} has no buffered stores or flushes to order; remove it")
-        }
-        _ => format!("the {what} covers no unflushed stores; remove it"),
-    };
-    inner.diagnostics.insert(Diagnostic {
-        kind,
-        site,
-        message,
-        // The graph-based redundancy pass is the canonical producer of
-        // DeleteFlush edits; this inline path stays advisory.
-        suggestion: None,
-        addr,
-        occurrences: 1,
-    });
-}
-
 impl PmEnv for CheckerEnv {
     #[track_caller]
     fn load_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
@@ -579,7 +517,6 @@ impl PmEnv for CheckerEnv {
         inner.machine.store(inner.current_tid, addr, bytes, loc);
         inner.writes_since_point = true;
         inner.any_writes_this_exec = true;
-        inner.work_since_fence += 1;
         if self.flag_lints {
             self.record_trace(
                 inner,
@@ -621,10 +558,6 @@ impl PmEnv for CheckerEnv {
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        if self.flag_perf && inner.work_since_fence == 0 {
-            record_perf(inner, DiagnosticKind::RedundantFence, None, loc, "sfence");
-        }
-        inner.work_since_fence = 0;
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Sfence);
         }
@@ -646,7 +579,6 @@ impl PmEnv for CheckerEnv {
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence = 0;
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Mfence);
         }
@@ -669,7 +601,6 @@ impl PmEnv for CheckerEnv {
         self.lint_loc.set(prev);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence = 0;
         if self.flag_lints {
             // Failed attempts are recorded too: a failed CAS is still a
             // locked instruction (fences, acquires) — it just publishes

@@ -1,5 +1,6 @@
 //! Model-checker configuration.
 
+use jaaru_pmem::{fnv1a, FNV_OFFSET};
 use jaaru_tso::EvictionPolicy;
 
 /// Configuration for a [`ModelChecker`](crate::ModelChecker) run.
@@ -25,7 +26,6 @@ pub struct Config {
     max_bugs: usize,
     stop_on_first_bug: bool,
     flag_races: bool,
-    flag_perf_issues: bool,
     lints: bool,
     lint_cross_thread: bool,
     lint_torn_stores: bool,
@@ -57,7 +57,6 @@ impl Config {
             max_bugs: 64,
             stop_on_first_bug: false,
             flag_races: true,
-            flag_perf_issues: false,
             lints: false,
             lint_cross_thread: false,
             lint_torn_stores: false,
@@ -205,19 +204,6 @@ impl Config {
         self.flag_races
     }
 
-    /// Report wasted persistency operations (redundant flushes/fences) —
-    /// the performance-bug extension the paper sketches in §5.1.
-    /// Default `false`: wasted flushes are a cost, not a correctness bug.
-    pub fn flag_perf_issues(&mut self, yes: bool) -> &mut Self {
-        self.flag_perf_issues = yes;
-        self
-    }
-
-    /// Whether wasted persistency operations are flagged.
-    pub fn flag_perf_issues_value(&self) -> bool {
-        self.flag_perf_issues
-    }
-
     /// Enable the persistency lint engine (default `false`).
     ///
     /// With lints on, the checker records the full per-thread operation
@@ -272,9 +258,8 @@ impl Config {
     /// Enable the flush-redundancy performance pass (default `false`):
     /// report same-line re-flushes with no intervening store, fences
     /// over empty flush buffers, and flushes before any store, as
-    /// warning-severity diagnostics with occurrence counts. This is the
-    /// graph-based successor of [`Config::flag_perf_issues`]; enabling
-    /// both double-counts redundant flushes. Together with
+    /// warning-severity diagnostics with occurrence counts — the
+    /// wasted-flush extension the paper sketches in §5.1. Together with
     /// [`Config::lints`] it also reports dead flushes: flushes of lines
     /// no recovery execution reads (exhaustive runs only).
     pub fn lint_flush_redundancy(&mut self, yes: bool) -> &mut Self {
@@ -377,13 +362,8 @@ impl Config {
     /// (program hash, fingerprint) serves one cached result to
     /// submissions that differ only in worker count or cache sizing.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = FNV_OFFSET;
+        let mut fold = |word: u64| hash = fnv1a(hash, &word.to_le_bytes());
         fold(self.pool_size as u64);
         fold(match self.eviction {
             EvictionPolicy::Eager => 0,
@@ -398,7 +378,6 @@ impl Config {
             self.skip_unchanged,
             self.stop_on_first_bug,
             self.flag_races,
-            self.flag_perf_issues,
             self.lints,
             self.lint_cross_thread,
             self.lint_torn_stores,
@@ -522,24 +501,38 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_semantic_knobs() {
-        let base = Config::new().fingerprint();
-        let mut c = Config::new();
-        c.max_failures(2);
-        assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.lints(true);
-        assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.eviction(EvictionPolicy::OnFence);
-        assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.pool_size(1 << 16);
-        assert_ne!(c.fingerprint(), base);
-        // Distinct flag combinations don't collide by shifting.
-        let mut a = Config::new();
-        a.skip_unchanged(false);
-        let mut b = Config::new();
-        b.stop_on_first_bug(true);
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        fn toggled(knob: impl FnOnce(&mut Config) -> &mut Config) -> u64 {
+            let mut c = Config::new();
+            knob(&mut c);
+            c.fingerprint()
+        }
+        // Each semantic knob, toggled alone from the defaults: every
+        // fingerprint must differ from the base and from every other
+        // knob's, so no knob is dropped and no two alias.
+        let prints = [
+            ("base", Config::new().fingerprint()),
+            ("pool_size", toggled(|c| c.pool_size(1 << 16))),
+            ("eviction", toggled(|c| c.eviction(EvictionPolicy::OnFence))),
+            ("max_failures", toggled(|c| c.max_failures(2))),
+            ("max_ops", toggled(|c| c.max_ops_per_execution(1000))),
+            ("max_scenarios", toggled(|c| c.max_scenarios(1000))),
+            ("max_bugs", toggled(|c| c.max_bugs(5))),
+            ("inject_at_end", toggled(|c| c.inject_at_end(false))),
+            ("skip_unchanged", toggled(|c| c.skip_unchanged(false))),
+            ("stop_on_first_bug", toggled(|c| c.stop_on_first_bug(true))),
+            ("flag_races", toggled(|c| c.flag_races(false))),
+            ("lints", toggled(|c| c.lints(true))),
+            ("lint_cross_thread", toggled(|c| c.lint_cross_thread(true))),
+            ("lint_torn_stores", toggled(|c| c.lint_torn_stores(true))),
+            (
+                "lint_flush_redundancy",
+                toggled(|c| c.lint_flush_redundancy(true)),
+            ),
+        ];
+        for (i, (knob, print)) in prints.iter().enumerate() {
+            for (other, earlier) in &prints[..i] {
+                assert_ne!(print, earlier, "{knob} collides with {other}");
+            }
+        }
     }
 }

@@ -196,9 +196,7 @@ pub(crate) fn run_scenario(
         b.crash_points = record.crash_points.clone();
         b.trace = record.decisions.trace();
     }
-    let lints = lint_scenario(&record, bug.is_some(), config);
-    let mut diagnostics = record.diagnostics;
-    diagnostics.extend(lints);
+    let diagnostics = lint_scenario(&record, bug.is_some(), config);
     // Exactly one scenario per run never crashes and never hits a bug:
     // the all-continue one. Its first (and only) trace is the canonical
     // complete pre-failure trace, which the dead-flush pass consumes.
@@ -526,9 +524,7 @@ impl ModelChecker {
             }
         }
         let record = env.finish();
-        let lints = lint_scenario(&record, !bugs.is_empty(), &self.config);
-        let mut diagnostics = record.diagnostics;
-        diagnostics.extend(lints);
+        let diagnostics = lint_scenario(&record, !bugs.is_empty(), &self.config);
         if let Some(bug) = bugs.first_mut() {
             bug.crash_points = record.crash_points;
         }
@@ -1000,7 +996,7 @@ mod tests {
             env.sfence(); // nothing to order: wasted fence
         };
         let mut config = small_config();
-        config.flag_perf_issues(true);
+        config.lint_flush_redundancy(true);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.is_clean(), "perf issues are not bugs: {report}");
         assert!(!report.has_errors(), "perf warnings are not errors");
@@ -1017,23 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn perf_flagging_is_off_by_default_and_changes_nothing() {
-        let program = |env: &dyn PmEnv| {
-            let root = env.root();
-            env.store_u64(root, 1);
-            env.clflush(root, 8);
-            env.clflush(root, 8);
-        };
-        let off = ModelChecker::new(small_config()).check(&program);
-        assert!(off.diagnostics.is_empty());
-        let mut config = small_config();
-        config.flag_perf_issues(true);
-        let on = ModelChecker::new(config).check(&program);
-        assert_eq!(off.stats.scenarios, on.stats.scenarios, "diagnostics only");
-        assert!(!on.diagnostics.is_empty());
-    }
-
-    #[test]
     fn necessary_flushes_are_not_flagged() {
         let program = |env: &dyn PmEnv| {
             let root = env.root();
@@ -1044,7 +1023,7 @@ mod tests {
             env.sfence(); // orders the clflushopt: necessary
         };
         let mut config = small_config();
-        config.flag_perf_issues(true);
+        config.lint_flush_redundancy(true);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
@@ -1114,6 +1093,25 @@ mod tests {
         let on = ModelChecker::new(config).check(&program);
         assert_eq!(off.stats.scenarios, on.stats.scenarios, "analysis only");
         assert_eq!(off.digest(), on.digest(), "clean program: same digest");
+    }
+
+    #[test]
+    fn perf_flagging_is_off_by_default_and_changes_nothing() {
+        // A wasted flush is reported only when its pass is on, and
+        // reporting it explores nothing new.
+        let program = |env: &dyn PmEnv| {
+            let root = env.root();
+            env.store_u64(root, 1);
+            env.clflush(root, 8);
+            env.clflush(root, 8);
+        };
+        let off = ModelChecker::new(small_config()).check(&program);
+        assert!(off.diagnostics.is_empty());
+        let mut config = small_config();
+        config.lint_flush_redundancy(true);
+        let on = ModelChecker::new(config).check(&program);
+        assert_eq!(off.stats.scenarios, on.stats.scenarios, "diagnostics only");
+        assert!(!on.diagnostics.is_empty());
     }
 
     #[test]

@@ -92,16 +92,20 @@ pub use report::{
 pub use signal::with_quiet_panics;
 pub use snapshot::SharedSnapshotCache;
 
-// The unified diagnostic framework (lint findings + perf warnings)
-// and its SARIF 2.1.0 rendering.
+// The unified diagnostic framework (lint findings + perf warnings),
+// its SARIF 2.1.0 rendering, and the JSON string escaper every
+// artifact shares.
 pub use jaaru_analysis::{
-    minimize_edits, to_sarif, to_sarif_with_verified, Absorption, CrashPointClass, Diagnostic,
-    DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
+    json_string, minimize_edits, to_sarif, to_sarif_with_verified, Absorption, CrashPointClass,
+    Diagnostic, DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
 };
 
 // Snapshot-cache counters, surfaced through `CheckReport::snapshots`.
 pub use jaaru_snapshot::SnapshotStats;
 
 // Re-exports for downstream crates (baselines, workloads, benches).
-pub use jaaru_pmem::{CacheLineId, PmAddr, PmError, PmPool, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
+pub use jaaru_pmem::{
+    fnv1a, CacheLineId, PmAddr, PmError, PmPool, SplitMix64, CACHE_LINE_SIZE, FNV_OFFSET,
+    NULL_PAGE_SIZE,
+};
 pub use jaaru_tso::EvictionPolicy;

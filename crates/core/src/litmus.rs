@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use std::panic::Location;
 
-use jaaru_pmem::{CacheLineId, PmAddr};
+use jaaru_pmem::{CacheLineId, PmAddr, SplitMix64};
 use jaaru_tso::{CurrentRead, EvictionPolicy, FlushInterval, Seq, ThreadId, TsoMachine};
 
 /// One instruction of a litmus thread.
@@ -85,32 +85,6 @@ pub struct LitmusCrashOutcome {
 #[derive(Clone, Debug)]
 pub struct LitmusProgram {
     threads: Vec<Vec<LitmusOp>>,
-}
-
-/// SplitMix64: a small deterministic generator for schedule sampling.
-/// (Self-contained so the checker has no external dependencies.)
-struct ScheduleRng {
-    state: u64,
-}
-
-impl ScheduleRng {
-    fn new(seed: u64) -> Self {
-        ScheduleRng { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-enough index into `0..n` (n is tiny; modulo bias is
-    /// irrelevant for schedule sampling).
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
 }
 
 #[derive(Clone)]
@@ -225,7 +199,7 @@ impl LitmusProgram {
     /// Sampling is deterministic in `seed`; the result is always a subset
     /// of the exhaustive outcome set.
     pub fn outcomes_sampled(&self, seed: u64, iterations: u32) -> BTreeSet<LitmusOutcome> {
-        let mut rng = ScheduleRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut results = BTreeSet::new();
         for _ in 0..iterations {
             let mut state = State {
@@ -245,7 +219,8 @@ impl LitmusProgram {
                 }
                 let mut progressed = false;
                 while !moves.is_empty() {
-                    let pick = rng.pick(moves.len());
+                    // Modulo bias is irrelevant for a handful of moves.
+                    let pick = (rng.next_u64() % moves.len() as u64) as usize;
                     let (t, evict) = moves.swap_remove(pick);
                     if evict {
                         if state.machine.evict_one(ThreadId(t as u32)) {

@@ -37,8 +37,8 @@ use std::panic::Location;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use jaaru_analysis::{minimize_edits, parse_site, Diagnostic, FixEdit};
-use jaaru_pmem::PmAddr;
+use jaaru_analysis::{json_string, minimize_edits, parse_site, Diagnostic, FixEdit};
+use jaaru_pmem::{fnv1a, PmAddr, FNV_OFFSET};
 
 use crate::config::Config;
 use crate::env::PmEnv;
@@ -325,7 +325,7 @@ impl RepairOutcome {
         };
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"program\": \"{}\",", self.program.escape_default());
+        let _ = writeln!(out, "  \"program\": {},", json_string(&self.program));
         let _ = writeln!(out, "  \"verified\": {},", self.verified);
         let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
         let _ = writeln!(out, "  \"rechecks\": {},", self.rechecks);
@@ -338,11 +338,11 @@ impl RepairOutcome {
                 .map_or_else(|| "null".to_string(), |l| l.to_string());
             let _ = writeln!(
                 out,
-                "    {{\"edit\": \"{}\", \"site\": \"{}\", \"cache_line\": {line}, \
-                 \"action\": \"{}\"}}{comma}",
+                "    {{\"edit\": \"{}\", \"site\": {}, \"cache_line\": {line}, \
+                 \"action\": {}}}{comma}",
                 e.kind_str(),
-                e.site().escape_default(),
-                e.to_string().escape_default()
+                json_string(e.site()),
+                json_string(&e.to_string())
             );
         }
         let _ = writeln!(out, "  ],");
@@ -571,16 +571,9 @@ fn subset_group(edits: &[FixEdit]) -> u64 {
     if edits.is_empty() {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in edits {
-        for b in e.to_string().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    edits.iter().fold(FNV_OFFSET, |h, e| {
+        fnv1a(fnv1a(h, e.to_string().as_bytes()), &[0xff])
+    })
 }
 
 #[cfg(test)]
@@ -704,7 +697,7 @@ mod tests {
             env.sfence();
         }
         let mut config = lint_config();
-        config.flag_perf_issues(true).lint_flush_redundancy(true);
+        config.lint_flush_redundancy(true);
         let outcome = synthesize_repair(&config, &doubled);
         assert!(outcome.verified, "diagnosed: {:?}", outcome.diagnosed);
         assert!(

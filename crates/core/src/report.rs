@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use jaaru_analysis::Diagnostic;
+use jaaru_analysis::{json_string, Diagnostic};
 use jaaru_pmem::PmAddr;
 use jaaru_snapshot::SnapshotStats;
 
@@ -221,7 +221,8 @@ pub struct CheckReport {
     /// error-severity robustness violations from the lint engine (with
     /// [`Config::lints`](crate::Config::lints) on) and warning-severity
     /// wasted persistency operations (with
-    /// [`Config::flag_perf_issues`](crate::Config::flag_perf_issues) on).
+    /// [`Config::lint_flush_redundancy`](crate::Config::lint_flush_redundancy)
+    /// on).
     pub diagnostics: Vec<Diagnostic>,
     /// Exploration statistics.
     pub stats: CheckStats,
@@ -525,27 +526,6 @@ impl CheckReport {
         out.push_str("]\n}\n");
         out
     }
-}
-
-/// Escapes `s` as a JSON string literal, double quotes included.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_opt_string(s: Option<&str>) -> String {

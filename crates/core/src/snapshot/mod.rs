@@ -10,7 +10,7 @@
 //! always runs `Program::run` fresh. The only state that must round-trip
 //! is the *checker's*: the stack of crashed executions' storage (store
 //! queues and writeback intervals, which post-failure reads refine
-//! in-place — hence copy-on-restore), crash bookkeeping, race/diagnostic
+//! in-place — hence copy-on-restore), crash bookkeeping, race
 //! accumulators, lint traces, and the decision-log position. A snapshot
 //! is taken immediately after
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
@@ -24,7 +24,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use jaaru_analysis::DiagnosticSet;
 use jaaru_snapshot::{ShardedCache, SnapshotPayload, SnapshotStats};
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
@@ -125,8 +124,6 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) race_keys: HashSet<String>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
-    pub(crate) diagnostics: DiagnosticSet,
-    pub(crate) work_since_fence: u64,
     pub(crate) op_traces: Vec<OpTrace>,
     /// Cache lines recovery read over the snapshotted executions (the
     /// dead-flush footprint so far; empty unless that pass is on).

@@ -39,8 +39,8 @@
 
 use std::fmt;
 
+use jaaru::SplitMix64;
 use jaaru::{PmAddr, PmEnv, Program};
-use jaaru_workloads::util::SplitMix64;
 
 /// Maximum number of data cache lines a generated program touches.
 pub const MAX_LINES: usize = 3;

@@ -7,7 +7,7 @@
 //! snapshots on/off, worker counts, and diagnostic passes. This crate
 //! stress-tests those equivalences with generated programs:
 //!
-//! * [`gen`] — a seeded ([`SplitMix64`](jaaru_workloads::util::SplitMix64))
+//! * [`gen`] — a seeded ([`SplitMix64`](jaaru::SplitMix64))
 //!   generator of self-oracling guest programs over the full nine-op
 //!   [`PmEnv`](jaaru::PmEnv) vocabulary, with optional ground-truth
 //!   persistency faults in four [`FaultClass`]es (missing flush,

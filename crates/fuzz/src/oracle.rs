@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use jaaru::{CheckReport, Config, DiagnosticKind, ModelChecker};
+use jaaru::{fnv1a, json_string, CheckReport, Config, DiagnosticKind, ModelChecker, FNV_OFFSET};
 use jaaru_yat::{eager_check_bounded, YatConfig, YatError};
 
 use crate::gen::{generate, FaultClass, FaultMode, GenProgram};
@@ -498,24 +498,15 @@ impl CampaignReport {
             };
             let _ = writeln!(
                 out,
-                "    {{\"seed\": {}, \"axis\": \"{}\", \"detail\": \"{}\"}}{comma}",
+                "    {{\"seed\": {}, \"axis\": \"{}\", \"detail\": {}}}{comma}",
                 d.seed,
                 d.axis,
-                d.detail.escape_default()
+                json_string(&d.detail)
             );
         }
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
 /// Runs a fuzzing campaign: seeds `seed_start..seed_start + seeds`, each

@@ -15,6 +15,8 @@
 
 use std::collections::BTreeSet;
 
+use jaaru::json_string;
+
 use crate::ax::{AxChecker, AxOp, AxOutcome, AxProgram};
 use crate::conform::{self, Verdict};
 
@@ -389,16 +391,12 @@ impl CorpusReport {
         let _ = writeln!(out, "  \"results\": [");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
-            let failures: Vec<String> = r
-                .failures
-                .iter()
-                .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
-                .collect();
+            let failures: Vec<String> = r.failures.iter().map(|f| json_string(f)).collect();
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"passed\": {}, \"conformant\": {}, \
+                "    {{\"name\": {}, \"passed\": {}, \"conformant\": {}, \
                  \"outcomes\": {}, \"failures\": [{}]}}{comma}",
-                r.name,
+                json_string(r.name),
                 r.passed(),
                 r.conformant,
                 r.outcomes,

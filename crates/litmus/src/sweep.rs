@@ -39,6 +39,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use jaaru::{fnv1a, json_string, FNV_OFFSET};
+
 use crate::ax::{AxOp, AxOutcome, AxProgram};
 use crate::conform::{self, render_program, Verdict};
 
@@ -162,25 +164,17 @@ impl SweepReport {
             } else {
                 ""
             };
-            let ops: Vec<String> = d
-                .operational_only
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect();
-            let axs: Vec<String> = d
-                .axiomatic_only
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect();
-            let allow = match &d.allowlisted {
-                Some(r) => format!("\"{r}\""),
-                None => "null".to_string(),
-            };
+            let ops: Vec<String> = d.operational_only.iter().map(|s| json_string(s)).collect();
+            let axs: Vec<String> = d.axiomatic_only.iter().map(|s| json_string(s)).collect();
+            let allow = d
+                .allowlisted
+                .as_deref()
+                .map_or_else(|| "null".to_string(), json_string);
             let _ = writeln!(
                 out,
-                "    {{\"program\": \"{}\", \"operational_only\": [{}], \
+                "    {{\"program\": {}, \"operational_only\": [{}], \
                  \"axiomatic_only\": [{}], \"allowlisted\": {}}}{comma}",
-                d.program,
+                json_string(&d.program),
                 ops.join(", "),
                 axs.join(", "),
                 allow
@@ -379,16 +373,6 @@ fn render_outcome(o: &AxOutcome) -> String {
     out
 }
 
-/// FNV-1a 64-bit, the repo's standard cheap fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs the exhaustive sweep at `bound` on `jobs` worker threads.
 ///
 /// The returned report is byte-identical for any `jobs ≥ 1`: programs
@@ -414,7 +398,7 @@ pub fn run_sweep(bound: &SweepBound, jobs: usize) -> SweepReport {
                 Verdict::Match => "ok".to_string(),
                 Verdict::Diverge(d) => format!("diverge:{}", render_program(&d.program)),
             };
-            fingerprint ^= fnv1a(format!("{rendered}|{tag}").as_bytes());
+            fingerprint ^= fnv1a(FNV_OFFSET, format!("{rendered}|{tag}").as_bytes());
             if let Verdict::Diverge(d) = verdict {
                 divergences.push(DivergenceRecord {
                     program: render_program(&d.program),

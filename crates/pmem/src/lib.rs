@@ -9,7 +9,9 @@
 //!   belongs to,
 //! * [`PmPool`] — a simulated byte-addressable persistent-memory region with
 //!   bounds checking and a reserved null page,
-//! * [`PmError`] — the error type for illegal PM accesses.
+//! * [`PmError`] — the error type for illegal PM accesses,
+//! * [`fnv1a`] and [`SplitMix64`] — the workspace's one hash and one
+//!   seeded generator.
 //!
 //! The real Jaaru system runs against Intel Optane persistent memory; this
 //! reproduction simulates the storage medium, exactly as Jaaru itself
@@ -33,8 +35,10 @@
 
 mod addr;
 mod error;
+mod hash;
 mod pool;
 
 pub use addr::{CacheLineId, PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 pub use error::PmError;
+pub use hash::{fnv1a, SplitMix64, FNV_OFFSET};
 pub use pool::{PmPool, PoolCheckpoint};

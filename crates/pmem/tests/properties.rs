@@ -5,25 +5,19 @@
 //! builds offline, so no proptest): every run explores the same corpus,
 //! and a failing case prints the seed that reproduces it.
 
-use jaaru_pmem::{PmAddr, PmError, PmPool, NULL_PAGE_SIZE};
+use jaaru_pmem::{PmAddr, PmError, PmPool, SplitMix64, NULL_PAGE_SIZE};
 
 const POOL: usize = 1024;
 
-struct Rng {
-    state: u64,
-}
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng { state: seed }
+        Rng(SplitMix64::new(seed))
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

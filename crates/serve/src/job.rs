@@ -18,7 +18,7 @@
 //! {"kind": "shutdown"}
 //! ```
 
-use jaaru::Config;
+use jaaru::{fnv1a, Config, FNV_OFFSET};
 
 use crate::json::Value;
 
@@ -305,13 +305,6 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
     })
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 impl JobSpec {
     /// Whether this job's lint passes are on (mirrors one-shot `lint`;
     /// repair diagnoses and verifies against the same passes, minus
@@ -323,18 +316,18 @@ impl JobSpec {
     /// A stable hash of the *program* this job runs: kind-normalized
     /// workload identity, independent of format/jobs/deadline.
     pub fn program_hash(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = FNV_OFFSET;
         match &self.workload {
             Workload::Fixed { benchmark, keys } => {
-                fnv1a(&mut hash, b"fixed:");
-                fnv1a(&mut hash, benchmark.to_ascii_lowercase().as_bytes());
-                fnv1a(&mut hash, &(*keys as u64).to_le_bytes());
+                hash = fnv1a(hash, b"fixed:");
+                hash = fnv1a(hash, benchmark.to_ascii_lowercase().as_bytes());
+                hash = fnv1a(hash, &(*keys as u64).to_le_bytes());
             }
             Workload::Row { suite, row, keys } => {
-                fnv1a(&mut hash, b"row:");
-                fnv1a(&mut hash, suite.as_str().as_bytes());
-                fnv1a(&mut hash, &(*row as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*keys as u64).to_le_bytes());
+                hash = fnv1a(hash, b"row:");
+                hash = fnv1a(hash, suite.as_str().as_bytes());
+                hash = fnv1a(hash, &(*row as u64).to_le_bytes());
+                hash = fnv1a(hash, &(*keys as u64).to_le_bytes());
             }
             Workload::Campaign {
                 seeds,
@@ -342,11 +335,11 @@ impl JobSpec {
                 ops_max,
                 differential,
             } => {
-                fnv1a(&mut hash, b"fuzz:");
-                fnv1a(&mut hash, &seeds.to_le_bytes());
-                fnv1a(&mut hash, &seed_start.to_le_bytes());
-                fnv1a(&mut hash, &(*ops_max as u64).to_le_bytes());
-                fnv1a(&mut hash, &[*differential as u8]);
+                hash = fnv1a(hash, b"fuzz:");
+                hash = fnv1a(hash, &seeds.to_le_bytes());
+                hash = fnv1a(hash, &seed_start.to_le_bytes());
+                hash = fnv1a(hash, &(*ops_max as u64).to_le_bytes());
+                hash = fnv1a(hash, &[*differential as u8]);
             }
             Workload::Litmus {
                 sweep,
@@ -354,11 +347,11 @@ impl JobSpec {
                 max_ops_per_thread,
                 max_total_ops,
             } => {
-                fnv1a(&mut hash, b"litmus:");
-                fnv1a(&mut hash, &[*sweep as u8]);
-                fnv1a(&mut hash, &(*max_threads as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*max_ops_per_thread as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*max_total_ops as u64).to_le_bytes());
+                hash = fnv1a(hash, b"litmus:");
+                hash = fnv1a(hash, &[*sweep as u8]);
+                hash = fnv1a(hash, &(*max_threads as u64).to_le_bytes());
+                hash = fnv1a(hash, &(*max_ops_per_thread as u64).to_le_bytes());
+                hash = fnv1a(hash, &(*max_total_ops as u64).to_le_bytes());
             }
         }
         hash
@@ -369,7 +362,7 @@ impl JobSpec {
     /// JSON and a SARIF submission of the same job warm each other.
     pub fn snapshot_group(&self, config: &Config) -> u64 {
         let mut hash = self.program_hash();
-        fnv1a(&mut hash, &config.fingerprint().to_le_bytes());
+        hash = fnv1a(hash, &config.fingerprint().to_le_bytes());
         hash
     }
 
@@ -379,8 +372,8 @@ impl JobSpec {
     /// artifacts, as do JSON and SARIF).
     pub fn result_group(&self, config: &Config) -> u64 {
         let mut hash = self.snapshot_group(config);
-        fnv1a(&mut hash, self.kind.as_str().as_bytes());
-        fnv1a(&mut hash, self.format.as_str().as_bytes());
+        hash = fnv1a(hash, self.kind.as_str().as_bytes());
+        hash = fnv1a(hash, self.format.as_str().as_bytes());
         hash
     }
 }

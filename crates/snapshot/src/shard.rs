@@ -18,21 +18,14 @@
 
 use std::sync::Mutex;
 
+use jaaru_pmem::{fnv1a, FNV_OFFSET};
+
 use crate::{SnapshotCache, SnapshotPayload, SnapshotStats, DEFAULT_ENTRY_CAP};
 
 /// Shard count used by [`ShardedCache::new`]: enough to keep the
 /// default worker pools (1–4 jobs) off each other's locks without
 /// splintering the byte budget into uselessly small slices.
 pub const DEFAULT_SHARDS: usize = 8;
-
-fn fnv1a(seed: u64, word: u64) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for byte in word.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A sharded, byte-budgeted `(group, trace)` cache safe to share across
 /// threads behind an `Arc`.
@@ -72,7 +65,8 @@ impl<S: SnapshotPayload> ShardedCache<S> {
     }
 
     fn shard(&self, group: u64, first: Option<usize>) -> &Mutex<SnapshotCache<S>> {
-        let hash = fnv1a(group, first.map_or(u64::MAX, |f| f as u64));
+        let first = first.map_or(u64::MAX, |f| f as u64);
+        let hash = fnv1a(FNV_OFFSET ^ group, &first.to_le_bytes());
         &self.shards[(hash % self.shards.len() as u64) as usize]
     }
 

@@ -15,27 +15,21 @@
 use std::collections::BTreeSet;
 use std::panic::Location;
 
-use jaaru_pmem::{CacheLineId, PmAddr};
+use jaaru_pmem::{CacheLineId, PmAddr, SplitMix64};
 use jaaru_tso::{do_read, read_pre_failure, ExecutionStorage, RfCandidate, Seq, ThreadId};
 
 const LINE: CacheLineId = CacheLineId::new(1);
 const SLOTS: u64 = 8;
 
-struct Rng {
-    state: u64,
-}
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng { state: seed }
+        Rng(SplitMix64::new(seed))
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

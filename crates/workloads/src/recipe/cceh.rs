@@ -31,10 +31,10 @@
 //! segfault).
 
 use jaaru::{PmAddr, PmEnv};
+use jaaru_pmem::SplitMix64;
 
 use crate::alloc::PBump;
 use crate::recipe::PmIndex;
-use crate::util::SplitMix64;
 
 const SEG_SLOTS: u64 = 4;
 const SEG_HEADER: u64 = 64;

@@ -1,6 +1,6 @@
 //! Shared scaffolding for workload drivers.
 
-use jaaru::{PmAddr, PmEnv};
+use jaaru::{PmAddr, PmEnv, SplitMix64};
 
 /// Magic value marking an initialized pool (any stable 64-bit constant).
 pub const POOL_MAGIC: u64 = 0x4a41_4152_552d_504d; // "JAARU-PM"
@@ -88,29 +88,6 @@ impl Harness {
     /// First byte of the persistent heap managed by [`crate::alloc::PBump`].
     pub fn heap_base(&self) -> PmAddr {
         self.root + 960 // leaves the driver header area (15 lines) free
-    }
-}
-
-/// Deterministic 64-bit mixer (SplitMix64): workload key generation must
-/// be reproducible across re-executions, so no ambient randomness.
-#[derive(Clone, Copy, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next pseudo-random value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 

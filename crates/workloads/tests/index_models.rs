@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use jaaru::NativeEnv;
+use jaaru_pmem::SplitMix64;
 use jaaru_workloads::alloc::{AllocFault, PBump};
 use jaaru_workloads::pmdk::{
     btree_map::BtreeMap, ctree_map::CtreeMap, hashmap_atomic::HashmapAtomic, hashmap_tx::HashmapTx,
@@ -17,7 +18,7 @@ use jaaru_workloads::recipe::{
     cceh::Cceh, fast_fair::FastFair, part::Part, pbwtree::Pbwtree, pclht::Pclht,
     pmasstree::Pmasstree, PmIndex,
 };
-use jaaru_workloads::util::{Harness, SplitMix64};
+use jaaru_workloads::util::Harness;
 
 const CASES: u64 = 64;
 

@@ -12,6 +12,7 @@
 
 use jaaru::{CheckReport, Config, ModelChecker, PmEnv, Program};
 use jaaru_bench::registry::recipe_bug_cases;
+use jaaru_pmem::SplitMix64;
 use jaaru_workloads::recipe::{
     fast_fair::{FastFair, FastFairFault},
     pclht::{Pclht, PclhtFault},
@@ -93,7 +94,7 @@ fn parallel_matches_sequential_on_a_buggy_workload() {
 
 fn lint_config(jobs: usize) -> Config {
     let mut c = config(jobs);
-    c.lints(true).flag_perf_issues(true);
+    c.lints(true);
     c
 }
 
@@ -184,20 +185,6 @@ fn sarif_output_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// A tiny deterministic PRNG (SplitMix64) so the property test below
-/// can sweep many generated programs without an external crate.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Property: for randomly generated store/flush/fence programs, every
 /// exploration — sequential, parallel, repeated — produces the same
 /// digest. Programs are derived purely from the seed, so a failure
@@ -213,11 +200,11 @@ fn seeded_random_programs_replay_stably() {
                 }
                 return;
             }
-            let mut rng = SplitMix64(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
+            let mut rng = SplitMix64::new(seed.wrapping_mul(0x5851_f42d_4c95_7f2d) + 1);
             for _ in 0..12 {
-                let line = rng.next() % 4;
-                match rng.next() % 4 {
-                    0 | 1 => env.store_u64(root + line * 64, rng.next()),
+                let line = rng.next_u64() % 4;
+                match rng.next_u64() % 4 {
+                    0 | 1 => env.store_u64(root + line * 64, rng.next_u64()),
                     2 => env.clflushopt(root + line * 64, 8),
                     _ => env.sfence(),
                 }

@@ -21,27 +21,22 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use jaaru::{Config, ModelChecker, PmEnv};
+use jaaru_pmem::SplitMix64;
 use jaaru_yat::{eager_check, YatConfig};
 
 const POOL: usize = 4096;
 /// Eight observed byte slots spread over three cache lines.
 const SLOTS: [u64; 8] = [64, 72, 80, 120, 128, 136, 184, 191];
 
-struct Rng {
-    state: u64,
-}
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng { state: seed }
+        Rng(SplitMix64::new(seed))
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {

@@ -255,3 +255,81 @@ fn corpus_repair_matches_across_jobs() {
         );
     }
 }
+
+/// Repair and fuzz JSON quote free text through the shared escaper:
+/// program names and diagnostic messages with apostrophes, dashes and
+/// non-ASCII letters must come out as valid JSON that parses back to
+/// the original string.
+#[test]
+fn repair_and_fuzz_json_parse_with_arbitrary_text() {
+    use jaaru::{DiagnosticKind, Named, PmEnv};
+    use jaaru_fuzz::{CampaignReport, Divergence};
+    use jaaru_serve::json::{parse, Value};
+
+    let name = "O'Neil's map é";
+    let program = Named::new(name, |env: &dyn PmEnv| {
+        let root = env.root();
+        let data = root + 64;
+        if env.load_u64(root) != 0 {
+            env.pm_assert(env.load_u64(data) == 42, "lost committed data");
+            return;
+        }
+        env.store_u64(data, 42); // never flushed before the commit
+        env.store_u64(root, 1);
+        env.persist(root, 8);
+    });
+    let json = synthesize_repair(&repair_config(1), &program).to_json();
+    let parsed = parse(&json).unwrap_or_else(|e| panic!("repair JSON: {e}\n{json}"));
+    assert_eq!(parsed.get("program"), Some(&Value::String(name.into())));
+
+    // The fuzz lint-truth false-positive detail embeds the diagnostic,
+    // and the cross-thread fence message reads "thread 1's ... — fence
+    // on thread 1".
+    let racy = |env: &dyn PmEnv| {
+        let data = env.root() + 64;
+        if env.is_recovery() {
+            let _ = env.load_u64(data);
+            return;
+        }
+        env.spawn(&mut |t| {
+            t.store_u64(data, 7);
+            t.clflushopt(data, 8);
+        });
+        env.sfence();
+    };
+    let mut config = Config::new();
+    config.pool_size(4096).lint_cross_thread(true);
+    let report = ModelChecker::new(config).check(&racy);
+    let d = report
+        .diagnostics
+        .iter()
+        .find(|d| d.kind == DiagnosticKind::CrossThreadRace)
+        .expect("cross-thread race");
+    let detail = format!("false positive {}: {d}", d.kind.as_str());
+    assert!(detail.contains("'s") && !detail.is_ascii(), "{detail}");
+    let campaign = CampaignReport {
+        seed_start: 0,
+        seeds: 1,
+        ops_max: 14,
+        differential: false,
+        buggy: 0,
+        clean: 1,
+        yat_skipped: 0,
+        scenarios: report.stats.scenarios,
+        executions: 0,
+        yat_states: 0,
+        fingerprint: 0,
+        divergences: vec![Divergence {
+            seed: 0,
+            axis: "lint-truth",
+            detail: detail.clone(),
+        }],
+        repair: None,
+    };
+    let json = campaign.to_json();
+    let parsed = parse(&json).unwrap_or_else(|e| panic!("fuzz JSON: {e}\n{json}"));
+    let Some(Value::Array(divergences)) = parsed.get("divergences") else {
+        panic!("divergences array: {json}");
+    };
+    assert_eq!(divergences[0].get("detail"), Some(&Value::String(detail)));
+}
