@@ -22,6 +22,7 @@
 //! cross-thread pass owns those).
 
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 use jaaru_tso::TraceOpKind;
 
@@ -148,7 +149,10 @@ pub fn flush_redundancy(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
 /// after a run that was not truncated. An
 /// empty footprint means no recovery ever ran (or read nothing) — the
 /// pass stays silent rather than condemning every flush in the program.
-pub fn dead_flushes(graph: &PersistGraph<'_>, footprint: &HashSet<u64>) -> Vec<Diagnostic> {
+pub fn dead_flushes<S: BuildHasher>(
+    graph: &PersistGraph<'_>,
+    footprint: &HashSet<u64, S>,
+) -> Vec<Diagnostic> {
     if footprint.is_empty() {
         return Vec::new();
     }

@@ -8,12 +8,11 @@
 //! and on detected bugs.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::panic::{panic_any, Location};
 
-use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
+use jaaru_pmem::{IntSet, PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, read_pre_failure, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
+    do_read, read_pre_failure_into, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
     SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
@@ -49,9 +48,13 @@ struct Inner {
     next_tid: u32,
 
     races: Vec<RaceReport>,
-    race_keys: HashSet<String>,
+    /// Load sites already in `races`.
+    race_keys: IntSet<SourceLoc>,
     load_choice_points: u64,
     max_rf_set: usize,
+    /// Scratch buffer for a byte's reads-from candidates, reused by every
+    /// load so the miss path allocates nothing.
+    cands: Vec<RfCandidate>,
 
     /// Per-execution operation traces for the lint engine (empty unless
     /// [`Config::lints`] is on); the last entry is the running execution.
@@ -61,7 +64,7 @@ struct Inner {
     /// loads that missed the running execution's own state. Collected
     /// only for the dead-flush pass ([`Config::dead_flush_value`]);
     /// accumulates across executions and participates in snapshots.
-    recovery_reads: HashSet<u64>,
+    recovery_reads: IntSet<u64>,
 }
 
 /// Per-scenario results harvested by the explorer after a run.
@@ -75,7 +78,7 @@ pub(crate) struct ScenarioRecord {
     pub max_rf_set: usize,
     /// Cache lines recovery read from pre-failure storage (empty unless
     /// the dead-flush pass is on).
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: IntSet<u64>,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -114,15 +117,16 @@ impl CheckerEnv {
                 current_tid: ThreadId(0),
                 next_tid: 1,
                 races: Vec::new(),
-                race_keys: HashSet::new(),
+                race_keys: IntSet::default(),
                 load_choice_points: 0,
                 max_rf_set: 1,
+                cands: Vec::new(),
                 op_traces: if config.trace_ops_value() {
                     vec![OpTrace::new()]
                 } else {
                     Vec::new()
                 },
-                recovery_reads: HashSet::new(),
+                recovery_reads: IntSet::default(),
             }),
             pool_size: config.pool_size_value() as u64,
             max_failures: config.failure_limit(),
@@ -164,7 +168,9 @@ impl CheckerEnv {
 
     /// Builds an environment that resumes from a crash-point snapshot:
     /// accumulated checker state is cloned from the capture
-    /// (copy-on-restore — post-failure reads refine intervals in place),
+    /// (copy-on-restore — post-failure reads refine intervals in place, so
+    /// each storage's intervals are copied while its frozen store queues
+    /// are shared),
     /// per-execution volatile state starts fresh exactly as
     /// [`advance_execution`](Self::advance_execution) would leave it, and
     /// the decision log adopts the snapshot's consumed prefix. Running
@@ -356,18 +362,27 @@ impl CheckerEnv {
 
     /// Loads one byte, resolving pre-failure nondeterminism through the
     /// decision log and refining writeback intervals (Figures 9–11).
-    fn load_byte(&self, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
+    /// `noted` is the line this load last added to the recovery reads, so
+    /// a multi-byte load adds each line once.
+    fn load_byte(
+        &self,
+        inner: &mut Inner,
+        addr: PmAddr,
+        loc: SourceLoc,
+        noted: &mut Option<u64>,
+    ) -> u8 {
         match inner.machine.read_current(inner.current_tid, addr) {
             CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
             CurrentRead::Miss => {
-                if self.collect_reads && inner.exec_index >= 1 {
+                let line = addr.cache_line().index();
+                if self.collect_reads && inner.exec_index >= 1 && *noted != Some(line) {
                     // A recovery read: this load consulted pre-failure
                     // persisted state, so a flush of its line is live.
-                    inner.recovery_reads.insert(addr.cache_line().index());
+                    inner.recovery_reads.insert(line);
+                    *noted = Some(line);
                 }
-                let cands = read_pre_failure(&inner.stack, addr);
+                let mut cands = std::mem::take(&mut inner.cands);
+                read_pre_failure_into(&inner.stack, addr, &mut cands);
                 inner.max_rf_set = inner.max_rf_set.max(cands.len());
                 let choice = if cands.len() == 1 {
                     0
@@ -381,6 +396,7 @@ impl CheckerEnv {
                         .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index)
                 };
                 let chosen = cands[choice];
+                inner.cands = cands;
                 do_read(&mut inner.stack, addr, chosen);
                 chosen.value
             }
@@ -433,17 +449,8 @@ impl CheckerEnv {
     }
 }
 
-fn record_race(
-    inner: &mut Inner,
-    addr: PmAddr,
-    loc: &'static Location<'static>,
-    cands: &[RfCandidate],
-) {
-    if inner.races.len() >= MAX_RACES {
-        return;
-    }
-    let key = format!("{}:{}:{}", loc.file(), loc.line(), loc.column());
-    if !inner.race_keys.insert(key.clone()) {
+fn record_race(inner: &mut Inner, addr: PmAddr, loc: SourceLoc, cands: &[RfCandidate]) {
+    if inner.races.len() >= MAX_RACES || !inner.race_keys.insert(loc) {
         return;
     }
     let candidates = cands
@@ -471,7 +478,7 @@ fn record_race(
         .collect();
     inner.races.push(RaceReport {
         addr,
-        load_location: key,
+        load_location: format!("{}:{}:{}", loc.file(), loc.line(), loc.column()),
         execution_index: inner.exec_index,
         candidates,
     });
@@ -502,8 +509,10 @@ impl PmEnv for CheckerEnv {
         // Byte accesses performed atomically, low address first (paper §4,
         // "Mixed size accesses"). Each byte's committed choice refines the
         // line interval before the next byte's candidates are computed.
+        let mut inner = self.inner.borrow_mut();
+        let mut noted = None;
         for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = self.load_byte(addr + i as u64, loc);
+            *slot = self.load_byte(&mut inner, addr + i as u64, loc, &mut noted);
         }
     }
 
@@ -692,6 +701,7 @@ impl PmEnv for CheckerEnv {
 mod tests {
     use super::*;
     use crate::decision::DecisionLog;
+    use jaaru_tso::Seq;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn env() -> CheckerEnv {
@@ -810,6 +820,37 @@ mod tests {
         assert_eq!(rec.races[0].candidates.len(), 3); // 2, 1, initial 0
         assert_eq!(rec.max_rf_set, 3);
         assert_eq!(rec.load_choice_points, 1);
+    }
+
+    #[test]
+    fn restores_of_one_snapshot_refine_intervals_independently() {
+        let mut c = Config::new();
+        c.pool_size(4096);
+        let a = PmAddr::new(NULL_PAGE_SIZE);
+        let line = a.cache_line();
+        let e = CheckerEnv::new(&c, DecisionLog::new());
+        e.store_u8(a, 1);
+        e.store_u8(a, 2);
+        e.advance_execution();
+        let snap = e.snapshot();
+        assert!(snap.stack[0].interval(line).is_unconstrained());
+        let interval = |env: &CheckerEnv| env.inner.borrow().stack[0].interval(line);
+
+        // One restore reads the newest store (the default), the other is
+        // steered to the initial value, the last of three candidates.
+        let newest = CheckerEnv::from_snapshot(&c, DecisionLog::new(), &snap);
+        let initial = CheckerEnv::from_snapshot(&c, DecisionLog::from_trace(&[2]), &snap);
+        assert_eq!(newest.load_u8(a), 2);
+        assert_eq!(initial.load_u8(a), 0);
+        assert!(interval(&newest).begin() > Seq::ZERO);
+        assert_eq!(interval(&newest).end(), Seq::INFINITY);
+        assert_eq!(interval(&initial).begin(), Seq::ZERO);
+        assert!(interval(&initial).end() < Seq::INFINITY);
+        // Each restore now sees only its own commitment; the snapshot
+        // itself is unrefined.
+        assert_eq!(newest.load_u8(a), 2);
+        assert_eq!(initial.load_u8(a), 0);
+        assert!(snap.stack[0].interval(line).is_unconstrained());
     }
 
     #[test]

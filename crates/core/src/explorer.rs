@@ -17,13 +17,13 @@
 //! directly at recovery — the original system's fork-based rollback,
 //! without a guest process to fork (see `crate::snapshot`).
 
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use jaaru_analysis::Diagnostic;
+use jaaru_pmem::IntSet;
 use jaaru_tso::OpTrace;
 
 use crate::checker_env::CheckerEnv;
@@ -80,7 +80,7 @@ pub(crate) struct ScenarioOutcome {
     pub bug: Option<BugReport>,
     /// Cache lines this scenario's recovery executions read from
     /// pre-failure storage (empty unless the dead-flush pass is on).
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: IntSet<u64>,
     /// The complete pre-failure operation trace, present only for the
     /// crash-free, bug-free scenario with lints on (one per run): the
     /// input of the dead-flush pass.
@@ -97,7 +97,7 @@ pub(crate) struct ScenarioOutcome {
 /// canonical crash-free trace.
 #[derive(Debug, Default)]
 pub(crate) struct ExploreAux {
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: IntSet<u64>,
     pub clean_trace: Option<OpTrace>,
 }
 

@@ -9,8 +9,9 @@
 //! the guest closure never needs to be resumed mid-flight — recovery
 //! always runs `Program::run` fresh. The only state that must round-trip
 //! is the *checker's*: the stack of crashed executions' storage (store
-//! queues and writeback intervals, which post-failure reads refine
-//! in-place — hence copy-on-restore), crash bookkeeping, race
+//! queues, frozen at the crash and shared by every capture and restore,
+//! and writeback intervals, which post-failure reads refine in place —
+//! hence copied on restore), crash bookkeeping, race
 //! accumulators, lint traces, and the decision-log position. A snapshot
 //! is taken immediately after
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
@@ -20,12 +21,12 @@
 //! scenario's *prescribed* prefix — restoring is always equivalent to
 //! replaying those executions.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
+use jaaru_pmem::IntSet;
 use jaaru_snapshot::{ShardedCache, SnapshotPayload, SnapshotStats};
-use jaaru_tso::{ExecutionStorage, OpTrace};
+use jaaru_tso::{ExecutionStorage, OpTrace, SourceLoc};
 
 use crate::decision::Decision;
 use crate::report::RaceReport;
@@ -113,7 +114,8 @@ impl fmt::Debug for SharedSnapshotCache {
 /// bump cursor, thread ids — re-initialized fresh on restore).
 pub(crate) struct CheckerSnapshot {
     /// Storage of every crashed execution, oldest first. Post-failure
-    /// reads *mutate* these (interval refinement), so restoring clones.
+    /// reads *mutate* these (interval refinement), so restoring clones;
+    /// a clone shares the frozen store queues and copies only intervals.
     pub(crate) stack: Vec<ExecutionStorage>,
     /// Executions completed so far — exactly the `Program::run`
     /// invocations a restore saves over full replay.
@@ -121,13 +123,13 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) points_per_exec: Vec<usize>,
     pub(crate) crash_points: Vec<usize>,
     pub(crate) races: Vec<RaceReport>,
-    pub(crate) race_keys: HashSet<String>,
+    pub(crate) race_keys: IntSet<SourceLoc>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
     pub(crate) op_traces: Vec<OpTrace>,
     /// Cache lines recovery read over the snapshotted executions (the
     /// dead-flush footprint so far; empty unless that pass is on).
-    pub(crate) recovery_reads: HashSet<u64>,
+    pub(crate) recovery_reads: IntSet<u64>,
     /// Full metadata of the consumed decision prefix, so a restore into
     /// a `DecisionLog::from_trace` placeholder log can rehydrate the
     /// alternative counts and execution indices replay would have
@@ -158,7 +160,7 @@ pub(crate) fn estimate_bytes(
     op_traces: &[OpTrace],
     races: &[RaceReport],
     prefix: &[Decision],
-    recovery_reads: &HashSet<u64>,
+    recovery_reads: &IntSet<u64>,
 ) -> usize {
     let storage: usize = stack.iter().map(ExecutionStorage::approx_bytes).sum();
     let traces: usize = op_traces.iter().map(OpTrace::approx_bytes).sum();

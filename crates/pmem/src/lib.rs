@@ -11,7 +11,8 @@
 //!   bounds checking and a reserved null page,
 //! * [`PmError`] — the error type for illegal PM accesses,
 //! * [`fnv1a`] and [`SplitMix64`] — the workspace's one hash and one
-//!   seeded generator.
+//!   seeded generator, plus [`IntHasher`] ([`IntMap`], [`IntSet`]) for
+//!   in-memory tables keyed by integers.
 //!
 //! The real Jaaru system runs against Intel Optane persistent memory; this
 //! reproduction simulates the storage medium, exactly as Jaaru itself
@@ -40,5 +41,5 @@ mod pool;
 
 pub use addr::{CacheLineId, PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 pub use error::PmError;
-pub use hash::{fnv1a, SplitMix64, FNV_OFFSET};
+pub use hash::{fnv1a, IntHasher, IntMap, IntSet, SplitMix64, FNV_OFFSET};
 pub use pool::{PmPool, PoolCheckpoint};

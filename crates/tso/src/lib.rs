@@ -65,7 +65,7 @@ pub use buffers::{FbEntry, SbEntry, ThreadBuffers};
 pub use event::{SourceLoc, StoreEvent, StoreId, ThreadId};
 pub use interval::FlushInterval;
 pub use machine::{CurrentRead, EvictionPolicy, TsoMachine};
-pub use rf::{do_read, read_pre_failure, RfCandidate, RfSource};
+pub use rf::{do_read, read_pre_failure, read_pre_failure_into, RfCandidate, RfSource};
 pub use seq::Seq;
 pub use storage::{ExecutionStorage, QueueEntry};
 pub use trace::{OpTrace, TraceOp, TraceOpKind, TRACE_LINE_SIZE};

@@ -175,10 +175,10 @@ impl TsoMachine {
         match entry {
             SbEntry::Store { addr, bytes, loc } => {
                 let seq = self.sigma.bump();
-                self.storage.record_store(addr, &bytes, tid, loc, seq);
                 // One stamp per touched line (a store may straddle lines).
                 let first = addr.cache_line();
                 let last = (addr + (bytes.len() as u64 - 1)).cache_line();
+                self.storage.record_store(addr, bytes, tid, loc, seq);
                 let th = self.thread(tid);
                 for l in first.index()..=last.index() {
                     th.line_stamp.insert(CacheLineId::new(l), seq);
@@ -257,18 +257,22 @@ impl TsoMachine {
     }
 
     /// Simulates a power failure: every buffered operation is lost (it
-    /// never took effect in the cache) and the execution's storage freezes.
-    pub fn crash(self) -> ExecutionStorage {
+    /// never took effect in the cache) and the execution's storage freezes:
+    /// its store record is compacted once to exact capacity and from then
+    /// on shared by every clone, with only the intervals left to refine.
+    pub fn crash(mut self) -> ExecutionStorage {
+        self.storage.freeze();
         self.storage
     }
 
     /// Ends the execution cleanly: drains store buffers so every executed
-    /// store is cache-visible, then freezes storage. Pending flush-buffer
-    /// entries are still discarded — a `clflushopt` with no ordering
-    /// instruction after it guarantees nothing.
+    /// store is cache-visible, then freezes storage as
+    /// [`crash`](Self::crash) does. Pending flush-buffer entries are still
+    /// discarded — a `clflushopt` with no ordering instruction after it
+    /// guarantees nothing.
     pub fn finish(mut self) -> ExecutionStorage {
         self.drain_all();
-        self.storage
+        self.crash()
     }
 }
 

@@ -10,10 +10,17 @@
 //! every execution that ended in a failure, oldest first; the currently
 //! running execution is *not* on the stack (its store buffer and cache are
 //! consulted first, by [`TsoMachine::read_current`](crate::TsoMachine)).
+//!
+//! Both functions work a line at a time: each stack level costs one line
+//! lookup, after which the byte's queue and the line's interval are array
+//! reads. [`read_pre_failure_into`] writes candidates into a reused
+//! buffer, so the checker's load path allocates nothing; the byte-wise
+//! refinement of a multi-byte load (§4, "Mixed size accesses") stays with
+//! the caller, which commits each byte before resolving the next.
 
 use jaaru_pmem::PmAddr;
 
-use crate::{ExecutionStorage, Seq, StoreId};
+use crate::{ExecutionStorage, QueueEntry, Seq, StoreId};
 
 /// Where a post-failure load's value comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,45 +69,48 @@ impl RfCandidate {
 /// that persisted everything (the "expected" value), which lets the
 /// checker explore the happy path first.
 ///
-/// The returned set is never empty.
+/// The returned set is never empty. A thin wrapper over
+/// [`read_pre_failure_into`], which reuses a caller's buffer.
 pub fn read_pre_failure(stack: &[ExecutionStorage], addr: PmAddr) -> Vec<RfCandidate> {
-    let line = addr.cache_line();
     let mut out = Vec::new();
+    read_pre_failure_into(stack, addr, &mut out);
+    out
+}
+
+/// [`read_pre_failure`] into `out`, which is cleared first. One line
+/// lookup per stack level, and no allocation once `out` has grown to the
+/// largest candidate set.
+pub fn read_pre_failure_into(stack: &[ExecutionStorage], addr: PmAddr, out: &mut Vec<RfCandidate>) {
+    out.clear();
+    let line = addr.cache_line();
+    let offset = addr.line_offset();
     for (exec, st) in stack.iter().enumerate().rev() {
-        let iv = st.interval(line);
-        let q = st.queue(addr);
+        let Some((rec, iv)) = st.line(line) else {
+            continue;
+        };
+        let q = rec.queue(offset);
+        let candidate = |e: &QueueEntry| RfCandidate {
+            source: RfSource::Store {
+                exec,
+                store: e.store,
+            },
+            value: e.value,
+            seq: e.seq,
+        };
         // Entries with σ ≤ begin: only the newest one is readable (it is
         // what the last writeback captured if the writeback happened at
         // `begin`). Entries with begin < σ < end are all readable.
         let idx_begin = q.partition_point(|e| e.seq <= iv.begin());
-        let readable_after = q[idx_begin..].iter().take_while(|e| e.seq < iv.end());
-        for e in readable_after.collect::<Vec<_>>().into_iter().rev() {
-            out.push(RfCandidate {
-                source: RfSource::Store {
-                    exec,
-                    store: e.store,
-                },
-                value: e.value,
-                seq: e.seq,
-            });
-        }
-        if idx_begin > 0 {
-            let e = q[idx_begin - 1];
-            out.push(RfCandidate {
-                source: RfSource::Store {
-                    exec,
-                    store: e.store,
-                },
-                value: e.value,
-                seq: e.seq,
-            });
+        let idx_end = idx_begin + q[idx_begin..].partition_point(|e| e.seq < iv.end());
+        out.extend(q[idx_begin..idx_end].iter().rev().map(candidate));
+        if let Some(pinned) = idx_begin.checked_sub(1) {
+            out.push(candidate(&q[pinned]));
             // A store at or before `begin` pins the line: the writeback
             // definitely captured it, so older executions are invisible.
-            return out;
+            return;
         }
     }
     out.push(RfCandidate::INITIAL);
-    out
 }
 
 /// `DoRead`/`UpdateRanges` (Figure 10): refine writeback intervals after
@@ -110,28 +120,34 @@ pub fn read_pre_failure(stack: &[ExecutionStorage], addr: PmAddr) -> Vec<RfCandi
 /// of the line must have happened before that execution's first store to
 /// the byte (otherwise the newer store would have been visible); for the
 /// chosen execution, the writeback happened at or after the chosen store
-/// and before the next store to the byte.
+/// and before the next store to the byte. One line lookup per refined
+/// stack level; only intervals change, never the shared store queues.
 ///
 /// Reads satisfied by the *current* execution's buffers/cache involve no
 /// refinement and must not be passed here.
 pub fn do_read(stack: &mut [ExecutionStorage], addr: PmAddr, chosen: RfCandidate) {
     let line = addr.cache_line();
+    let offset = addr.line_offset();
     let newer_than = match chosen.source {
         RfSource::Initial => 0,
         RfSource::Store { exec, .. } => exec + 1,
     };
     for st in &mut stack[newer_than..] {
-        if let Some(first) = st.first_store_seq(addr) {
-            st.interval_mut(line).lower_end(first);
+        if let Some((rec, iv)) = st.line_mut(line) {
+            if let Some(first) = rec.queue(offset).first() {
+                iv.lower_end(first.seq);
+            }
         }
     }
     if let RfSource::Store { exec, .. } = chosen.source {
-        let st = &mut stack[exec];
-        let next = st.next_store_after(addr, chosen.seq);
-        let iv = st.interval_mut(line);
+        let (rec, iv) = stack[exec]
+            .line_mut(line)
+            .expect("a chosen store's line is recorded");
+        let q = rec.queue(offset);
+        let next = q.get(q.partition_point(|e| e.seq <= chosen.seq));
         iv.raise_begin(chosen.seq);
         if let Some(next) = next {
-            iv.lower_end(next);
+            iv.lower_end(next.seq);
         }
     }
 }
@@ -165,7 +181,7 @@ mod tests {
         fn store(&mut self, addr: u64, v: u8) -> Seq {
             let seq = self.sigma.bump();
             self.st
-                .record_store(PmAddr::new(addr), &[v], ThreadId(0), loc(), seq);
+                .record_store(PmAddr::new(addr), [v], ThreadId(0), loc(), seq);
             seq
         }
 

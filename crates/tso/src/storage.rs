@@ -1,16 +1,32 @@
 //! Per-execution storage state: cache contents and writeback intervals.
 //!
-//! An [`ExecutionStorage`] is the frozen record of everything one execution
-//! wrote to the cache: the paper's `e.queue(addr)` map (per-byte store
-//! queues) and `e.getcacheline(addr)` map (per-line most-recent-writeback
+//! An [`ExecutionStorage`] is the record of everything one execution wrote
+//! to the cache: the paper's `e.queue(addr)` map (per-byte store queues)
+//! and `e.getcacheline(addr)` map (per-line most-recent-writeback
 //! intervals). While an execution runs, its storage is owned by the
 //! [`TsoMachine`](crate::TsoMachine); after a simulated power failure the
 //! storage is pushed onto the execution stack where post-failure executions
 //! query and refine it.
+//!
+//! The record is line-granular. An integer-hashed index maps each touched
+//! cache line to a slot; the slot's line record holds a store queue per
+//! written byte and the line's store positions. A 64-entry head table
+//! leads from a byte offset to its queue, so a byte lookup is one index
+//! probe plus two array reads, and a queue keeps its first entry inline,
+//! so recording a byte's first store allocates nothing.
+//!
+//! Line records and store events are the *frozen* part: they sit behind
+//! an [`Arc`] and never change after the crash, when
+//! [`TsoMachine::crash`](crate::TsoMachine::crash) compacts them once to
+//! exact capacity. The only state post-failure reads refine is the
+//! intervals, kept in a flat vector indexed by slot. Cloning an
+//! execution's storage therefore shares its queues and copies only its
+//! intervals, which is what makes a checker snapshot's capture and
+//! restore cheap.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use jaaru_pmem::{CacheLineId, PmAddr};
+use jaaru_pmem::{CacheLineId, IntMap, PmAddr, CACHE_LINE_SIZE};
 
 use crate::{FlushInterval, Seq, SourceLoc, StoreEvent, StoreId, ThreadId};
 
@@ -26,14 +42,85 @@ pub struct QueueEntry {
     pub store: StoreId,
 }
 
-/// Per-cache-line bookkeeping.
-#[derive(Clone, Debug, Default)]
-struct LineState {
-    interval: FlushInterval,
+/// The stores one execution made to one cache line.
+#[derive(Clone, Debug)]
+pub(crate) struct LineRecord {
+    line: CacheLineId,
+    /// Per byte offset: one plus the index of the byte's queue in
+    /// `queues`, or 0 when no store reached the byte.
+    heads: [u8; CACHE_LINE_SIZE],
+    queues: Vec<ByteQueue>,
     /// Sequence numbers of stores to this line, in cache order. Used by the
     /// eager (Yat-style) baseline to enumerate candidate writeback points
     /// and by the analytic state counter.
     store_seqs: Vec<Seq>,
+}
+
+impl LineRecord {
+    fn new(line: CacheLineId) -> Self {
+        LineRecord {
+            line,
+            heads: [0; CACHE_LINE_SIZE],
+            queues: Vec::new(),
+            store_seqs: Vec::new(),
+        }
+    }
+
+    /// The store queue of the byte at `offset` within the line, oldest
+    /// first.
+    #[inline]
+    pub(crate) fn queue(&self, offset: usize) -> &[QueueEntry] {
+        match self.heads[offset] {
+            0 => &[],
+            head => self.queues[head as usize - 1].as_slice(),
+        }
+    }
+}
+
+/// A byte's store queue. Most bytes are written once per execution, so
+/// the first entry is kept inline and only a second store moves the
+/// queue to the heap.
+#[derive(Clone, Debug)]
+enum ByteQueue {
+    One(QueueEntry),
+    Many(Vec<QueueEntry>),
+}
+
+impl ByteQueue {
+    fn as_slice(&self) -> &[QueueEntry] {
+        match self {
+            ByteQueue::One(e) => std::slice::from_ref(e),
+            ByteQueue::Many(q) => q,
+        }
+    }
+
+    fn push(&mut self, entry: QueueEntry) {
+        match self {
+            ByteQueue::One(first) => *self = ByteQueue::Many(vec![*first, entry]),
+            ByteQueue::Many(q) => q.push(entry),
+        }
+    }
+}
+
+// Snapshot-accounting charges of `ExecutionStorage::approx_bytes`, in
+// bytes: per execution, per written byte, per queue entry, per recorded
+// line and per store position.
+const CHARGE_BASE: usize = 120;
+const CHARGE_BYTE: usize = 32;
+const CHARGE_ENTRY: usize = std::mem::size_of::<QueueEntry>();
+const CHARGE_LINE: usize = 48;
+const CHARGE_SEQ: usize = std::mem::size_of::<Seq>();
+
+/// The part of an execution's record that no post-failure read changes,
+/// shared by every clone once the execution ends.
+#[derive(Clone, Debug, Default)]
+struct Frozen {
+    slots: IntMap<CacheLineId, u32>,
+    lines: Vec<LineRecord>,
+    events: Vec<StoreEvent>,
+    /// Running total of [`ExecutionStorage::approx_bytes`] beyond
+    /// `CHARGE_BASE`.
+    charged: usize,
 }
 
 /// The cache/persistency record of a single execution.
@@ -48,15 +135,15 @@ struct LineState {
 /// let addr = PmAddr::new(64);
 /// let mut sigma = Seq::ZERO;
 /// let seq = sigma.bump();
-/// st.record_store(addr, &[42], ThreadId(0), std::panic::Location::caller(), seq);
+/// st.record_store(addr, [42], ThreadId(0), std::panic::Location::caller(), seq);
 /// assert_eq!(st.last_cache_value(addr).unwrap().value, 42);
 /// assert!(st.interval(addr.cache_line()).is_unconstrained());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionStorage {
-    queues: HashMap<PmAddr, Vec<QueueEntry>>,
-    lines: HashMap<CacheLineId, LineState>,
-    events: Vec<StoreEvent>,
+    frozen: Arc<Frozen>,
+    /// Most-recent-writeback interval per slot.
+    intervals: Vec<FlushInterval>,
 }
 
 impl ExecutionStorage {
@@ -65,39 +152,103 @@ impl ExecutionStorage {
         Self::default()
     }
 
+    /// The slot of `line`, if this execution stored to or flushed it.
+    #[inline]
+    fn slot(&self, line: CacheLineId) -> Option<usize> {
+        self.frozen.slots.get(&line).map(|&s| s as usize)
+    }
+
+    /// The slot of `line`, recording the line first if it is new.
+    fn slot_or_insert(
+        frozen: &mut Frozen,
+        intervals: &mut Vec<FlushInterval>,
+        line: CacheLineId,
+    ) -> usize {
+        if let Some(&s) = frozen.slots.get(&line) {
+            return s as usize;
+        }
+        let s = frozen.lines.len();
+        frozen.slots.insert(line, s as u32);
+        frozen.lines.push(LineRecord::new(line));
+        frozen.charged += CHARGE_LINE;
+        intervals.push(FlushInterval::default());
+        s
+    }
+
+    /// The store record and writeback interval of `line`, if this
+    /// execution stored to or flushed it.
+    #[inline]
+    pub(crate) fn line(&self, line: CacheLineId) -> Option<(&LineRecord, FlushInterval)> {
+        let s = self.slot(line)?;
+        Some((&self.frozen.lines[s], self.intervals[s]))
+    }
+
+    /// Like [`line`](Self::line), with the interval open for refinement
+    /// (`DoRead`). The store record stays shared.
+    #[inline]
+    pub(crate) fn line_mut(
+        &mut self,
+        line: CacheLineId,
+    ) -> Option<(&LineRecord, &mut FlushInterval)> {
+        let s = self.slot(line)?;
+        Some((&self.frozen.lines[s], &mut self.intervals[s]))
+    }
+
     /// Records a store taking effect in the cache (Figure 8,
     /// `Evict_SB(⟨store, addr, val⟩)`): appends the event and one queue
-    /// entry per byte, all sharing `seq`.
+    /// entry per byte, all sharing `seq`. The event keeps `bytes`, so an
+    /// owned `Vec` is moved in without a copy.
     ///
     /// Returns the event id for debugging reports.
     pub fn record_store(
         &mut self,
         addr: PmAddr,
-        bytes: &[u8],
+        bytes: impl Into<Vec<u8>>,
         thread: ThreadId,
         loc: SourceLoc,
         seq: Seq,
     ) -> StoreId {
-        let id = StoreId(self.events.len() as u32);
-        self.events.push(StoreEvent {
+        let bytes = bytes.into();
+        let frozen = Arc::make_mut(&mut self.frozen);
+        let id = StoreId(frozen.events.len() as u32);
+        // One pass per touched line: a store may straddle two.
+        let mut done = 0;
+        while done < bytes.len() {
+            let at = addr + done as u64;
+            let offset = at.line_offset();
+            let n = (bytes.len() - done).min(CACHE_LINE_SIZE - offset);
+            let s = Self::slot_or_insert(frozen, &mut self.intervals, at.cache_line());
+            let rec = &mut frozen.lines[s];
+            for (k, &value) in bytes[done..done + n].iter().enumerate() {
+                let entry = QueueEntry {
+                    value,
+                    seq,
+                    store: id,
+                };
+                let head = &mut rec.heads[offset + k];
+                if *head == 0 {
+                    rec.queues.push(ByteQueue::One(entry));
+                    *head = rec.queues.len() as u8;
+                    frozen.charged += CHARGE_BYTE;
+                } else {
+                    rec.queues[*head as usize - 1].push(entry);
+                }
+            }
+            frozen.charged += n * CHARGE_ENTRY;
+            if rec.store_seqs.last() != Some(&seq) {
+                rec.store_seqs.push(seq);
+                frozen.charged += CHARGE_SEQ;
+            }
+            done += n;
+        }
+        frozen.charged += std::mem::size_of::<StoreEvent>() + bytes.len();
+        frozen.events.push(StoreEvent {
             addr,
-            bytes: bytes.to_vec(),
+            bytes,
             seq,
             thread,
             loc,
         });
-        for (i, &b) in bytes.iter().enumerate() {
-            let byte_addr = addr + i as u64;
-            self.queues.entry(byte_addr).or_default().push(QueueEntry {
-                value: b,
-                seq,
-                store: id,
-            });
-            let line = self.lines.entry(byte_addr.cache_line()).or_default();
-            if line.store_seqs.last() != Some(&seq) {
-                line.store_seqs.push(seq);
-            }
-        }
         id
     }
 
@@ -105,29 +256,50 @@ impl ExecutionStorage {
     /// `Evict_SB(⟨clflush, addr⟩)` and `Evict_FB`): raises the lower bound
     /// of the line's most-recent-writeback interval.
     pub fn record_flush(&mut self, line: CacheLineId, seq: Seq) {
-        self.lines
-            .entry(line)
-            .or_default()
-            .interval
-            .raise_begin(seq);
+        let s = match self.slot(line) {
+            Some(s) => s,
+            None => {
+                Self::slot_or_insert(Arc::make_mut(&mut self.frozen), &mut self.intervals, line)
+            }
+        };
+        self.intervals[s].raise_begin(seq);
+    }
+
+    /// Compacts the store record to exact capacity. Called once when the
+    /// execution ends; afterwards only the intervals change, and every
+    /// clone of this storage shares the compacted record.
+    pub(crate) fn freeze(&mut self) {
+        if let Some(frozen) = Arc::get_mut(&mut self.frozen) {
+            frozen.slots.shrink_to_fit();
+            frozen.lines.shrink_to_fit();
+            for rec in &mut frozen.lines {
+                for q in &mut rec.queues {
+                    if let ByteQueue::Many(q) = q {
+                        q.shrink_to_fit();
+                    }
+                }
+                rec.queues.shrink_to_fit();
+                rec.store_seqs.shrink_to_fit();
+            }
+            frozen.events.shrink_to_fit();
+        }
+        self.intervals.shrink_to_fit();
     }
 
     /// The most-recent-writeback interval for `line` (`e.getcacheline`).
     pub fn interval(&self, line: CacheLineId) -> FlushInterval {
-        self.lines
-            .get(&line)
-            .map(|l| l.interval)
+        self.slot(line)
+            .map(|s| self.intervals[s])
             .unwrap_or_default()
     }
 
-    /// Mutable access to the interval for refinement (`DoRead`).
-    pub fn interval_mut(&mut self, line: CacheLineId) -> &mut FlushInterval {
-        &mut self.lines.entry(line).or_default().interval
-    }
-
     /// The per-byte store queue for `addr` (`e.queue`), oldest first.
+    #[inline]
     pub fn queue(&self, addr: PmAddr) -> &[QueueEntry] {
-        self.queues.get(&addr).map(Vec::as_slice).unwrap_or(&[])
+        match self.line(addr.cache_line()) {
+            Some((rec, _)) => rec.queue(addr.line_offset()),
+            None => &[],
+        }
     }
 
     /// The newest cache value of `addr` in this execution, if any store
@@ -154,40 +326,45 @@ impl ExecutionStorage {
     ///
     /// Panics if the id does not belong to this execution.
     pub fn event(&self, id: StoreId) -> &StoreEvent {
-        &self.events[id.0 as usize]
+        &self.frozen.events[id.0 as usize]
     }
 
     /// All store events of this execution, in cache order.
     pub fn events(&self) -> &[StoreEvent] {
-        &self.events
+        &self.frozen.events
     }
 
     /// Number of stores that reached the cache.
     pub fn store_count(&self) -> usize {
-        self.events.len()
+        self.frozen.events.len()
     }
 
-    /// Cache lines written by this execution.
+    /// Cache lines written by this execution, in order of first touch.
     pub fn touched_lines(&self) -> impl Iterator<Item = CacheLineId> + '_ {
-        self.lines
+        self.frozen
+            .lines
             .iter()
-            .filter(|(_, s)| !s.store_seqs.is_empty())
-            .map(|(&l, _)| l)
+            .filter(|rec| !rec.store_seqs.is_empty())
+            .map(|rec| rec.line)
     }
 
     /// Byte addresses written by this execution.
     pub fn touched_addrs(&self) -> impl Iterator<Item = PmAddr> + '_ {
-        self.queues.keys().copied()
+        self.frozen.lines.iter().flat_map(|rec| {
+            (0..CACHE_LINE_SIZE)
+                .filter(|&o| rec.heads[o] != 0)
+                .map(|o| rec.line.base() + o as u64)
+        })
     }
 
     /// Sequence numbers of stores to `line`, in cache order. Together with
     /// the line's interval these define the candidate writeback points the
     /// eager baseline must enumerate.
     pub fn line_store_seqs(&self, line: CacheLineId) -> &[Seq] {
-        self.lines
-            .get(&line)
-            .map(|l| l.store_seqs.as_slice())
-            .unwrap_or(&[])
+        match self.line(line) {
+            Some((rec, _)) => &rec.store_seqs,
+            None => &[],
+        }
     }
 
     /// The candidate writeback points for `line` that are consistent with
@@ -209,34 +386,14 @@ impl ExecutionStorage {
     }
 
     /// Approximate heap footprint of this storage in bytes, for snapshot
-    /// cache accounting (an estimate over map entries, queue entries,
-    /// per-line bookkeeping and store events — not an exact measurement).
+    /// cache accounting. It is a fixed charge model, not a measurement:
+    /// 120 bytes per execution, 32 per written byte, 16 per queue entry,
+    /// 48 per recorded line, 8 per store position, and each store event's
+    /// size plus its bytes. It charges the frozen record in full although
+    /// clones share it, so a snapshot cache's byte budget admits and
+    /// evicts the same snapshots as when every capture was a deep copy.
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let queue_bytes: usize = self
-            .queues
-            .values()
-            .map(|q| {
-                size_of::<PmAddr>()
-                    + size_of::<Vec<QueueEntry>>()
-                    + q.len() * size_of::<QueueEntry>()
-            })
-            .sum();
-        let line_bytes: usize = self
-            .lines
-            .values()
-            .map(|l| {
-                size_of::<CacheLineId>()
-                    + size_of::<LineState>()
-                    + l.store_seqs.len() * size_of::<Seq>()
-            })
-            .sum();
-        let event_bytes: usize = self
-            .events
-            .iter()
-            .map(|e| size_of::<StoreEvent>() + e.bytes.len())
-            .sum();
-        size_of::<Self>() + queue_bytes + line_bytes + event_bytes
+        CHARGE_BASE + self.frozen.charged
     }
 
     /// The value of `addr` in a persistent snapshot whose last writeback of
@@ -369,5 +526,38 @@ mod tests {
         let lines: Vec<_> = st.touched_lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(st.touched_addrs().count(), 3);
+    }
+
+    #[test]
+    fn approx_bytes_follows_the_charge_model() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        assert_eq!(st.approx_bytes(), 120);
+        // Four bytes straddling lines 1 and 2, then byte 126 again, then a
+        // flush of untouched line 5.
+        store(&mut st, &mut sigma, 126, &[1, 2, 3, 4]);
+        store(&mut st, &mut sigma, 126, &[5]);
+        let f = sigma.bump();
+        st.record_flush(CacheLineId::new(5), f);
+        let lines = 3 * 48;
+        let seqs = 3 * 8;
+        let bytes = 4 * 32 + 5 * 16;
+        let events = 2 * std::mem::size_of::<StoreEvent>() + 5;
+        assert_eq!(st.approx_bytes(), 120 + lines + seqs + bytes + events);
+    }
+
+    #[test]
+    fn clones_share_the_frozen_record_until_written() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        store(&mut st, &mut sigma, 64, &[1]);
+        st.freeze();
+        let mut copy = st.clone();
+        assert!(Arc::ptr_eq(&st.frozen, &copy.frozen));
+        // Recording into a clone copies the record first.
+        store(&mut copy, &mut sigma, 64, &[2]);
+        assert!(!Arc::ptr_eq(&st.frozen, &copy.frozen));
+        assert_eq!(st.queue(PmAddr::new(64)).len(), 1);
+        assert_eq!(copy.queue(PmAddr::new(64)).len(), 2);
     }
 }

@@ -1,5 +1,7 @@
 //! Property tests for the reads-from computation and constraint
-//! refinement, against a brute-force single-line model.
+//! refinement, against brute-force cut models: one line and one
+//! execution first, then two adjacent lines, straddling stores and a
+//! stack of two or three executions.
 //!
 //! The model: a cache line's persistent state is determined by one
 //! *writeback cut* `w` — the position of the last writeback — which the
@@ -16,7 +18,10 @@ use std::collections::BTreeSet;
 use std::panic::Location;
 
 use jaaru_pmem::{CacheLineId, PmAddr, SplitMix64};
-use jaaru_tso::{do_read, read_pre_failure, ExecutionStorage, RfCandidate, Seq, ThreadId};
+use jaaru_tso::{
+    do_read, read_pre_failure, EvictionPolicy, ExecutionStorage, RfCandidate, RfSource, Seq,
+    ThreadId, TsoMachine,
+};
 
 const LINE: CacheLineId = CacheLineId::new(1);
 const SLOTS: u64 = 8;
@@ -72,7 +77,7 @@ fn build(events: &[Ev]) -> (ExecutionStorage, Vec<(u64, u64, u8)>, u64) {
         match ev {
             Ev::Store(s, v) => {
                 let seq = sigma.bump();
-                st.record_store(slot_addr(s), &[v], ThreadId(0), Location::caller(), seq);
+                st.record_store(slot_addr(s), [v], ThreadId(0), Location::caller(), seq);
                 stores.push((seq.value(), s, v));
             }
             Ev::Flush => {
@@ -218,4 +223,206 @@ fn full_refinement_converges_to_one_snapshot() {
             "seed {seed}: snapshot {snapshot:?} not a legal cut of {events:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Two adjacent lines, straddling stores, and a stack of executions.
+//
+// The model generalises the one above: every crashed execution `e` has
+// one writeback cut per line, `w(e, line) ≥ σ(last clflush of the line
+// in e)`. A recovery load of a byte reads from the newest execution whose
+// cut captured a store to the byte (the newest such store), or the
+// initial zero when none did. A commit keeps only the cut vectors under
+// which the byte reads from the chosen store; the lazy intervals must
+// then admit exactly the cuts those vectors project to.
+// ---------------------------------------------------------------------
+
+/// The 32 bytes around the boundary of lines 1 and 2.
+const WINDOW_BASE: u64 = 2 * 64 - 16;
+const WINDOW: u64 = 32;
+const WINDOW_LINES: [CacheLineId; 2] = [CacheLineId::new(1), CacheLineId::new(2)];
+
+/// One crashed execution and the model's view of it.
+struct Exec {
+    /// (seq, first byte, bytes) per store, in cache order.
+    stores: Vec<(u64, u64, Vec<u8>)>,
+    /// Per window line: the legal cuts before any commit.
+    cuts: [Vec<u64>; 2],
+}
+
+impl Exec {
+    /// The newest store of this execution to `byte` at or before `w`.
+    fn stored_at(&self, byte: u64, w: u64) -> Option<(u64, u8)> {
+        self.stores
+            .iter()
+            .rev()
+            .filter(|&&(seq, _, _)| seq <= w)
+            .find_map(|(seq, at, bytes)| {
+                let off = byte.checked_sub(*at)? as usize;
+                bytes.get(off).map(|&v| (*seq, v))
+            })
+    }
+}
+
+fn line_slot(byte: u64) -> usize {
+    (PmAddr::new(byte).cache_line().index() - 1) as usize
+}
+
+/// Runs one execution of random stores (1, 2, 4 or 8 bytes, some
+/// straddling the boundary) and clflushes on the simulator, then crashes.
+fn random_exec(rng: &mut Rng) -> (ExecutionStorage, Exec) {
+    let mut m = TsoMachine::new(EvictionPolicy::Eager);
+    let t = ThreadId(0);
+    let mut stores = Vec::new();
+    let mut last_flush = [0u64; 2];
+    for _ in 0..rng.below(7) {
+        if rng.below(5) < 4 {
+            let len = [1u64, 2, 4, 8][rng.below(4) as usize];
+            let at = WINDOW_BASE + rng.below(WINDOW - len + 1);
+            let bytes: Vec<u8> = (0..len).map(|_| (1 + rng.below(200)) as u8).collect();
+            m.store(t, PmAddr::new(at), &bytes, Location::caller());
+            stores.push((m.sigma().value(), at, bytes));
+        } else {
+            let li = rng.below(2) as usize;
+            m.clflush(t, WINDOW_LINES[li]);
+            last_flush[li] = m.sigma().value();
+        }
+    }
+    let cuts = std::array::from_fn(|li| {
+        let mut c = vec![last_flush[li]];
+        for (seq, at, bytes) in &stores {
+            let covers = (*at..*at + bytes.len() as u64).any(|b| line_slot(b) == li);
+            if covers && *seq > last_flush[li] {
+                c.push(*seq);
+            }
+        }
+        c
+    });
+    (m.crash(), Exec { stores, cuts })
+}
+
+/// A byte's reads-from source: (execution, store seq, value), or `None`
+/// for the initial value.
+type Source = Option<(usize, u64, u8)>;
+
+fn model_source(execs: &[Exec], byte: u64, cut: &[u64]) -> Source {
+    (0..execs.len())
+        .rev()
+        .find_map(|e| execs[e].stored_at(byte, cut[e]).map(|(seq, v)| (e, seq, v)))
+}
+
+/// Every vector of per-execution cuts for one line, from the allowed sets.
+fn cut_vectors(allowed: &[[Vec<u64>; 2]], li: usize) -> Vec<Vec<u64>> {
+    allowed.iter().fold(vec![Vec::new()], |acc, a| {
+        acc.iter()
+            .flat_map(|prefix| {
+                a[li].iter().map(move |&w| {
+                    let mut v = prefix.clone();
+                    v.push(w);
+                    v
+                })
+            })
+            .collect()
+    })
+}
+
+fn lazy_source(c: &RfCandidate) -> Source {
+    match c.source {
+        RfSource::Initial => None,
+        RfSource::Store { exec, .. } => Some((exec, c.seq.value(), c.value)),
+    }
+}
+
+/// Compares every window byte's candidates and every (execution, line)
+/// interval with the model's allowed cuts.
+fn assert_matches_model(
+    stack: &[ExecutionStorage],
+    execs: &[Exec],
+    allowed: &[[Vec<u64>; 2]],
+    what: &str,
+) {
+    for byte in WINDOW_BASE..WINDOW_BASE + WINDOW {
+        let lazy: BTreeSet<Source> = read_pre_failure(stack, PmAddr::new(byte))
+            .iter()
+            .map(lazy_source)
+            .collect();
+        let model: BTreeSet<Source> = cut_vectors(allowed, line_slot(byte))
+            .iter()
+            .map(|cut| model_source(execs, byte, cut))
+            .collect();
+        assert_eq!(lazy, model, "{what}: candidates of byte {byte}");
+    }
+    for (e, st) in stack.iter().enumerate() {
+        for (li, &line) in WINDOW_LINES.iter().enumerate() {
+            let lazy: BTreeSet<u64> = st
+                .writeback_points(line)
+                .iter()
+                .map(|s| s.value())
+                .collect();
+            let model: BTreeSet<u64> = allowed[e][li].iter().copied().collect();
+            assert_eq!(lazy, model, "{what}: cuts of execution {e}, {line:?}");
+        }
+    }
+}
+
+/// Over stacks two or three executions deep, random commits of random
+/// bytes keep candidates and intervals equal to the brute-force model
+/// after every commit.
+#[test]
+fn stacked_lines_match_brute_force_after_every_commit() {
+    for seed in 0..128u64 {
+        let mut rng = Rng::new(seed ^ 0x11ae_57ac);
+        let depth = 2 + rng.below(2) as usize;
+        let (mut stack, execs): (Vec<_>, Vec<_>) =
+            (0..depth).map(|_| random_exec(&mut rng)).unzip();
+        let mut allowed: Vec<[Vec<u64>; 2]> = execs.iter().map(|x| x.cuts.clone()).collect();
+        assert_matches_model(&stack, &execs, &allowed, &format!("seed {seed}, fresh"));
+        for step in 0..6 {
+            let byte = WINDOW_BASE + rng.below(WINDOW);
+            let cands = read_pre_failure(&stack, PmAddr::new(byte));
+            let chosen = cands[rng.below(cands.len() as u64) as usize];
+            do_read(&mut stack, PmAddr::new(byte), chosen);
+
+            let li = line_slot(byte);
+            let kept: Vec<Vec<u64>> = cut_vectors(&allowed, li)
+                .into_iter()
+                .filter(|cut| model_source(&execs, byte, cut) == lazy_source(&chosen))
+                .collect();
+            assert!(
+                !kept.is_empty(),
+                "seed {seed}: {chosen:?} is not realizable"
+            );
+            for (e, a) in allowed.iter_mut().enumerate() {
+                let projected: BTreeSet<u64> = kept.iter().map(|cut| cut[e]).collect();
+                a[li] = projected.into_iter().collect();
+            }
+            let what = format!("seed {seed}, commit {step} of byte {byte} to {chosen:?}");
+            assert_matches_model(&stack, &execs, &allowed, &what);
+        }
+    }
+}
+
+/// A clone of a crashed execution's storage (what a snapshot restore
+/// makes) refines its intervals without touching the original's.
+#[test]
+fn clones_refine_intervals_independently() {
+    let mut m = TsoMachine::new(EvictionPolicy::Eager);
+    let t = ThreadId(0);
+    let a = PmAddr::new(64);
+    m.store(t, a, &[1], Location::caller());
+    m.store(t, a, &[2], Location::caller());
+    let frozen = vec![m.crash()];
+    let line = a.cache_line();
+    let mut first = frozen.clone();
+    let mut second = frozen.clone();
+    let newest = read_pre_failure(&first, a)[0];
+    do_read(&mut first, a, newest);
+    do_read(&mut second, a, RfCandidate::INITIAL);
+    assert_eq!(first[0].interval(line).begin(), newest.seq);
+    assert_eq!(
+        second[0].interval(line).end(),
+        frozen[0].first_store_seq(a).unwrap()
+    );
+    assert!(frozen[0].interval(line).is_unconstrained());
+    assert_eq!(rf_values(&frozen, 0), [0, 1, 2].into_iter().collect());
 }
